@@ -291,9 +291,10 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
     sim.run_for(20 * kMillisecond);
   }
   // Settle: clients going idle only means the LEADER applied and replied;
-  // the final DecideMsg fan-out to the followers may still be in flight.
-  // Run past one consensus retransmit period so the tail decides land and
-  // the end-of-run audit compares converged stores.
+  // the idle-tail DECIDEs to the followers may still be in flight, and a
+  // follower that missed them is caught up only after a stalled retry
+  // period. Run past a few retry periods so the end-of-run audit compares
+  // converged stores.
   if (result.drained) sim.run_for(100 * kMillisecond);
 
   // The closed-loop closure captures its own shared_ptr; break the cycle.

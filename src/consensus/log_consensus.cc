@@ -13,6 +13,7 @@ void LogConsensus::on_start(Runtime& rt) {
   n_ = rt.n();
   rt_ = &rt;
   support_until_.assign(static_cast<std::size_t>(n_), 0);
+  peers_.assign(static_cast<std::size_t>(n_), PeerProgress{});
   // Sharded engines get per-shard histograms (the registry is name-keyed,
   // so the shard suffix is the label).
   decide_latency_ = &rt.obs().registry().histogram(
@@ -152,9 +153,11 @@ void LogConsensus::drive(Runtime& rt) {
     return;
   }
   // Not the leader: drop any proposer role and re-forward pending values to
-  // whoever Omega currently trusts. Followers send only these forwards and
-  // direct replies, never broadcasts.
+  // whoever Omega currently trusts. Followers send only these forwards,
+  // pushes of decisions the leader lacks, and direct replies, never
+  // broadcasts.
   if (preparing_ || leader_ready_) abdicate();
+  catch_up(rt);
   ProcessId l = omega_->leader();
   if (l != kNoProcess && l != self_) {
     for (const Bytes& v : pending_) {
@@ -232,6 +235,7 @@ void LogConsensus::become_ready(Runtime& rt) {
     if (is_decided(i)) continue;
     InFlight inf;
     inf.value = pair.value;
+    inf.recovered = true;
     inf.acks.insert(self_);
     acceptor_.on_accept(my_round_, i, inf.value);
     inflight_[i] = std::move(inf);
@@ -242,16 +246,6 @@ void LogConsensus::become_ready(Runtime& rt) {
   }
   promise_merge_.clear();
 
-  // Re-disseminate every decision this leader still holds (compacted
-  // entries are gone by contract): a new leader owes the followers the
-  // decided prefix (their acks prune this quickly).
-  for (Instance i = log_base_; i < log_size(); ++i) {
-    if (decided_value(i) == nullptr) continue;
-    auto& unacked = decide_unacked_[i];
-    for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
-      if (q != self_) unacked.insert(q);
-    }
-  }
   assign_pending(rt);
 }
 
@@ -302,14 +296,73 @@ void LogConsensus::retransmit(Runtime& rt) {
         if (q != self_ && !inf.acks.contains(q)) send_accept(rt, q, i);
       }
     }
-    for (const auto& [i, unacked] : decide_unacked_) {
-      auto payload = wire::encode_pooled(
-          rt.pool(), DecideMsg{i, WireBlob::ref(*decided_value(i))});
-      for (ProcessId q : unacked) {
-        rt.send(q, msg_type::kDecide, payload.view());
-      }
+    catch_up(rt);
+  }
+}
+
+void LogConsensus::catch_up(Runtime& rt) {
+  // A follower below the commit point of the previous tick had a full
+  // retry period to learn it from commit_upto or the tail flush: its
+  // watermark has stalled (a lost ACCEPT or DECIDE, or a dead process).
+  // A follower that made progress since the last attempt gets a full
+  // batch; one that did not gets a single probe, and the backoff doubles
+  // up to the cap, so a dead follower costs O(1) messages per cap period
+  // however long the log grows.
+  //
+  // A process that is not the ready leader pushes the leader it trusts
+  // one DECIDE per attempt when the leader is not known to have what it
+  // has decided. That leader can be stale: still ready at a round a rival
+  // overtook while it was cut off, idle, so it never learns of the rival's
+  // epoch and sends nothing that would be refused. In the steady state a
+  // follower learns only from the leader, so it never pushes.
+  const ProcessId leader = omega_->leader();
+  for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
+    PeerProgress& f = peers_[static_cast<std::size_t>(q)];
+    const bool target = leader_ready_ ? q != self_ : q == leader && q != self_;
+    if (!target || f.decided_upto >= commit_at_last_tick_ ||
+        rt.now() < f.retry_at) {
+      continue;
+    }
+    send_decides(rt, q, f.decided_upto,
+                 leader_ready_ && f.backoff == 1 ? kCatchupBatch : 1);
+    f.retry_at = rt.now() + f.backoff * config_.retry_period;
+    f.backoff = std::min(f.backoff * 2, kCatchupBackoffCap);
+  }
+  commit_at_last_tick_ = commit_upto();
+}
+
+void LogConsensus::flush_tail(Runtime& rt) {
+  if (!inflight_.empty() || !pending_.empty()) return;
+  for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
+    const PeerProgress& f = peers_[static_cast<std::size_t>(q)];
+    if (q != self_ && f.backoff == 1) {
+      send_decides(rt, q, std::max(f.decided_upto, f.sent_upto),
+                   kCatchupBatch);
     }
   }
+}
+
+void LogConsensus::send_decides(Runtime& rt, ProcessId q, Instance from,
+                                std::size_t limit) {
+  // Below next_notify_ the log is gap-free; below log_base_ it is gone.
+  Instance i = std::max(from, log_base_);
+  for (; limit > 0 && i < commit_upto(); ++i, --limit) {
+    rt.send(q, msg_type::kDecide,
+            wire::encode_pooled(rt.pool(),
+                                DecideMsg{i, WireBlob::ref(*decided_value(i))})
+                .view());
+  }
+  PeerProgress& f = peers_[static_cast<std::size_t>(q)];
+  f.sent_upto = std::max(f.sent_upto, i);
+}
+
+void LogConsensus::note_watermark(ProcessId q, Instance decided_upto) {
+  if (static_cast<std::size_t>(q) >= peers_.size()) return;
+  PeerProgress& f = peers_[static_cast<std::size_t>(q)];
+  if (decided_upto <= f.decided_upto) return;
+  f.decided_upto = decided_upto;
+  f.retry_at = 0;
+  f.backoff = 1;
 }
 
 void LogConsensus::abdicate() {
@@ -326,7 +379,7 @@ void LogConsensus::abdicate() {
   // them, in which case byte-identical duplicates are pruned at decision
   // time).
   for (auto& [i, inf] : inflight_) {
-    if (inf.value.empty()) continue;
+    if (!owed_placement(inf)) continue;
     const Bytes* d = decided_value(i);
     // Undecided: still owed placement. Decided with a DIFFERENT value: the
     // slot was lost to a competing leader and the value is still owed
@@ -339,7 +392,6 @@ void LogConsensus::abdicate() {
   inflight_.clear();
   promise_merge_.clear();
   promises_.clear();
-  decide_unacked_.clear();
   preparing_ = false;
   leader_ready_ = false;
 }
@@ -359,28 +411,11 @@ void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
     // leader may have assigned a value to this instance after the first
     // learn (see the decided-slot guard in assign_pending) — that value
     // still needs placement.
-    if (auto it = inflight_.find(i); it != inflight_.end()) {
-      if (!it->second.value.empty() &&
-          !bytes_equal(it->second.value, value)) {
-        pending_.push_back(std::move(it->second.value));
-      }
-      inflight_.erase(it);
-    }
+    retire_inflight(i, value);
     return;
   }
   log_[rel] = Bytes(value.begin(), value.end());
-  if (auto it = inflight_.find(i); it != inflight_.end()) {
-    // The instance decided against a different value: another leader won
-    // the slot while ours was in flight (e.g. this proposer was partitioned
-    // when it assigned the instance). The displaced value is still owed
-    // placement — re-queue it for a fresh instance. It may end up decided
-    // twice if the competing path also carried it; that is the documented
-    // at-least-once contract, deduplicated by the replica layer.
-    if (!it->second.value.empty() && !bytes_equal(it->second.value, value)) {
-      pending_.push_back(std::move(it->second.value));
-    }
-    inflight_.erase(it);
-  }
+  retire_inflight(i, value);
   if (auto it = accept_started_.find(i); it != accept_started_.end()) {
     // Close this instance's propose→decide span (proposer side only: the
     // start time exists only where the value was put in flight).
@@ -427,6 +462,28 @@ void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
       !pending_.empty()) {
     assign_pending(rt);
   }
+}
+
+void LogConsensus::retire_inflight(Instance i, BytesView value) {
+  auto it = inflight_.find(i);
+  if (it == inflight_.end()) return;
+  const bool lost = !bytes_equal(it->second.value, value);
+  // The instance decided against a different value: another leader won the
+  // slot while ours was in flight (e.g. this proposer was partitioned when
+  // it assigned the instance). The displaced value is still owed placement
+  // — re-queue it for a fresh instance. It may end up decided twice if the
+  // competing path also carried it; that is the documented at-least-once
+  // contract, deduplicated by the replica layer.
+  if (lost && owed_placement(it->second)) {
+    pending_.push_back(std::move(it->second.value));
+  }
+  inflight_.erase(it);
+  // Phase 1 rules out a lower round choosing another value here, so a
+  // higher round did: this leader is stale. Followers may still hold this
+  // round's pair for the slot, and its next ACCEPT's commit_upto would
+  // make them learn that pair. Step down, as on a NACK, and re-prepare
+  // above the rival.
+  if (lost) abdicate();
 }
 
 void LogConsensus::on_message(Runtime& rt, ProcessId src, MessageType type,
@@ -477,9 +534,10 @@ void LogConsensus::handle_prepare(Runtime& rt, ProcessId src,
   // agreement violation. Refusing keeps the intersection argument intact:
   // any quorum that does promise has every member's watermark <= msg.from,
   // so everything decided or accepted at >= msg.from is still reportable.
-  // The candidate retries each tick and gets through once DECIDE
-  // retransmission catches it up (compaction policy must not outrun the
-  // slowest live replica — see KvCore::compact_to).
+  // The candidate retries each tick and gets through once the current
+  // leader's watermark catch-up brings it past our watermark (compaction
+  // policy must not outrun the slowest live replica — see
+  // KvCore::compact_to).
   if (msg.from < log_base_) return;
   highest_seen_round_ = std::max(highest_seen_round_, msg.round);
   Round before = acceptor_.promised();
@@ -542,6 +600,7 @@ void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
   // Same fence discipline as handle_prepare: a fenced acceptor is silent
   // toward everyone but the fence holder.
   if (fenced_against(src, rt.now())) return;
+  note_watermark(src, msg.commit_upto);
   highest_seen_round_ = std::max(highest_seen_round_, msg.round);
   if (!acceptor_.on_accept(msg.round, msg.instance, msg.value.view())) {
     rt.send(src, msg_type::kNack,
@@ -553,10 +612,6 @@ void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
   if (config_.durable) persist(rt);  // accepted pair is durable state
   if (msg.round > my_round_ && (preparing_ || leader_ready_)) abdicate();
   grant_fence(src, msg.round, rt.now());
-  rt.send(src, msg_type::kAccepted,
-          wire::encode_pooled(rt.pool(),
-                              AcceptedMsg{msg.round, msg.instance, msg.ts})
-              .view());
 
   // Pipelined commit: everything below commit_upto was decided by the
   // leader of this round; our accepted value at this same round for such an
@@ -566,30 +621,30 @@ void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
     const auto* pair = acceptor_.accepted(j);
     if (pair != nullptr && pair->round == msg.round) learn(rt, j, pair->value);
   }
+  // Reply after learning, so the reported watermark is current.
+  rt.send(src, msg_type::kAccepted,
+          wire::encode_pooled(rt.pool(), AcceptedMsg{msg.round, msg.instance,
+                                                     msg.ts, next_notify_})
+              .view());
 }
 
 void LogConsensus::handle_accepted(Runtime& rt, ProcessId src,
                                    const AcceptedMsg& msg) {
+  note_watermark(src, msg.decided_upto);
   if (!leader_ready_ || msg.round != my_round_) return;
   // Even an ack for an already-decided instance renews the support — the
   // follower granted (and fenced) it either way.
   record_support(src, msg.echo_ts);
-  auto it = inflight_.find(msg.instance);
-  if (it == inflight_.end()) return;  // already decided
-  it->second.acks.insert(src);
-  if (static_cast<int>(it->second.acks.size()) < majority()) return;
-
-  Bytes value = std::move(it->second.value);
-  inflight_.erase(it);
-  learn(rt, msg.instance, value);
-  auto& unacked = decide_unacked_[msg.instance];
-  auto payload = wire::encode_pooled(
-      rt.pool(), DecideMsg{msg.instance, WireBlob::ref(value)});
-  for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
-    if (q == self_) continue;
-    unacked.insert(q);
-    rt.send(q, msg_type::kDecide, payload.view());
+  if (auto it = inflight_.find(msg.instance); it != inflight_.end()) {
+    it->second.acks.insert(src);
+    if (static_cast<int>(it->second.acks.size()) < majority()) return;
+    Bytes value = std::move(it->second.value);
+    inflight_.erase(it);
+    learn(rt, msg.instance, value);
   }
+  // No DECIDE fan-out: the next ACCEPT's commit_upto commits at every
+  // follower. Only the idle tail, which no ACCEPT follows, is flushed.
+  flush_tail(rt);
 }
 
 void LogConsensus::handle_nack(const NackMsg& msg) {
@@ -603,25 +658,21 @@ void LogConsensus::handle_nack(const NackMsg& msg) {
 
 void LogConsensus::handle_decide(Runtime& rt, ProcessId src,
                                  const DecideMsg& msg) {
+  // A DECIDE is only ever sent below the sender's decided prefix.
+  note_watermark(src, msg.instance + 1);
   learn(rt, msg.instance, msg.value.view());
+  // The ack reports this process's watermark, not the instance.
   rt.send(src, msg_type::kDecideAck,
-          wire::encode_pooled(rt.pool(), DecideAckMsg{msg.instance}).view());
+          wire::encode_pooled(rt.pool(), DecideAckMsg{next_notify_}).view());
 }
 
 void LogConsensus::handle_decide_ack(ProcessId src, const DecideAckMsg& msg) {
-  auto it = decide_unacked_.find(msg.instance);
-  if (it == decide_unacked_.end()) return;
-  it->second.erase(src);
-  if (it->second.empty()) decide_unacked_.erase(it);
+  note_watermark(src, msg.instance);
 }
 
 Instance LogConsensus::compact(Instance upto) {
-  // Clamp to what is decided locally and to what is still needed for DECIDE
-  // retransmission; never move backwards.
+  // Clamp to what is decided locally; never move backwards.
   upto = std::min(upto, next_notify_);
-  if (!decide_unacked_.empty()) {
-    upto = std::min(upto, decide_unacked_.begin()->first);
-  }
   if (upto <= log_base_) return log_base_;
   log_.erase(log_.begin(),
              log_.begin() + static_cast<std::ptrdiff_t>(upto - log_base_));

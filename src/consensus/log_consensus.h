@@ -11,11 +11,19 @@
 //  * Only the process currently trusted by Omega acts as proposer; it runs
 //    Phase 1 (PREPARE/PROMISE) once per leadership epoch and then drives
 //    every instance with Phase 2 only.
-//  * All leader messages are retransmitted on a timer until the required
-//    acks arrive — over fair-lossy links, retried messages eventually get
-//    through. Followers never retransmit spontaneously; they only answer
-//    the leader (preserving the communication-efficiency discipline) and
-//    re-forward their own pending proposals to the current leader.
+//  * Commit is by watermark, not per-instance acks: every ACCEPT carries
+//    the leader's decided prefix (commit_upto) and every ACCEPTED reports
+//    the follower's own (decided_upto). The leader sends explicit DECIDEs
+//    only to close an idle tail and, with capped exponential backoff, to
+//    catch up a follower whose watermark has stalled. Symmetrically, a
+//    follower pushes the leader a decision the leader is not known to
+//    have (a stale leader that missed a rival's epoch).
+//  * Phase-1/Phase-2 messages are retransmitted on a timer until the
+//    required acks arrive — over fair-lossy links, retried messages
+//    eventually get through. Followers never retransmit spontaneously;
+//    they only answer the leader (preserving the communication-efficiency
+//    discipline) and re-forward their own pending proposals to the current
+//    leader.
 //  * Liveness needs Omega stabilization plus a correct majority; safety
 //    (agreement, validity, integrity) holds unconditionally and is enforced
 //    by the Acceptor rules, including before GST and with no ♦-source.
@@ -109,6 +117,14 @@ class LogConsensus final : public ConsensusActor {
   LogConsensus(LogConsensusConfig config, const OmegaActor* omega)
       : config_(config), omega_(omega) {}
 
+  /// Watermark catch-up (DESIGN.md §4): most DECIDEs one tail flush or
+  /// catch-up attempt sends to one follower.
+  static constexpr std::size_t kCatchupBatch = 64;
+  /// Ceiling of the per-follower catch-up backoff, in retry periods. The
+  /// backoff doubles while the follower's watermark does not move, so a
+  /// dead follower costs about one message per ceiling period.
+  static constexpr int kCatchupBackoffCap = 64;
+
   // Actor ------------------------------------------------------------------
   void on_start(Runtime& rt) override;
   void on_message(Runtime& rt, ProcessId src, MessageType type,
@@ -125,9 +141,9 @@ class LogConsensus final : public ConsensusActor {
   /// state), bounding memory. Contract: the application must know that every
   /// correct process has already learned/applied the prefix (e.g. via an
   /// application-level checkpoint) — compacted values can no longer be
-  /// served to laggards. Requests are clamped to first_unknown() and to the
-  /// lowest instance still awaiting DECIDE acks; returns the watermark
-  /// actually applied.
+  /// served to laggards, and a follower whose watermark is below the
+  /// leader's compaction point can no longer be caught up. Requests are
+  /// clamped to first_unknown(); returns the watermark actually applied.
   Instance compact(Instance upto);
 
   [[nodiscard]] Instance compacted_upto() const { return log_base_; }
@@ -168,6 +184,19 @@ class LogConsensus final : public ConsensusActor {
   void assign_pending(Runtime& rt);
   void send_accept(Runtime& rt, ProcessId dst, Instance i);
   void retransmit(Runtime& rt);
+  /// Per-tick watermark catch-up: a ready leader catches up its stalled
+  /// followers, anyone else the leader it trusts.
+  void catch_up(Runtime& rt);
+  /// Idle-tail flush: with nothing in flight or queued, no ACCEPT will
+  /// carry commit_upto further, so every responding follower is sent the
+  /// decisions it has not been sent yet.
+  void flush_tail(Runtime& rt);
+  /// Sends `q` up to `limit` DECIDEs from instance `from` upward.
+  void send_decides(Runtime& rt, ProcessId q, Instance from,
+                    std::size_t limit);
+  /// Records that `q` has decided everything below `decided_upto`;
+  /// progress resets its catch-up backoff.
+  void note_watermark(ProcessId q, Instance decided_upto);
   void abdicate();
 
   // Durability (crash-recovery extension).
@@ -180,6 +209,9 @@ class LogConsensus final : public ConsensusActor {
   /// `value` may borrow a receive buffer; learn copies exactly once, at
   /// the point the decided log retains it.
   void learn(Runtime& rt, Instance i, BytesView value);
+  /// Drops instance `i`, now decided with `value`, from the in-flight set;
+  /// a different value there means this leader lost the slot.
+  void retire_inflight(Instance i, BytesView value);
   [[nodiscard]] bool is_decided(Instance i) const {
     if (i < log_base_) return true;
     Instance rel = i - log_base_;
@@ -266,13 +298,42 @@ class LogConsensus final : public ConsensusActor {
   struct InFlight {
     Bytes value;
     std::set<ProcessId> acks;
+    /// Re-proposed from a Phase-1 merge, not submitted to this leader.
+    bool recovered = false;
   };
+  /// Whether this leader must re-queue the value if it loses its slot: a
+  /// real value submitted to it. A recovered value stays with its
+  /// submitter, which keeps forwarding it until decided; re-queueing it
+  /// would make every abdication re-submit earlier epochs' values, and
+  /// dueling leaders that have not learned each other's decisions would
+  /// grow the log exponentially.
+  [[nodiscard]] static bool owed_placement(const InFlight& inf) {
+    return !inf.value.empty() && !inf.recovered;
+  }
   std::map<Instance, InFlight> inflight_;
   Instance next_free_ = 0;
 
-  /// Decided instances whose explicit DECIDE has not been acked by everyone
-  /// yet (leader keeps retransmitting; only the leader sends these).
-  std::map<Instance, std::set<ProcessId>> decide_unacked_;
+  /// What one peer is known to have decided, for catch-up.
+  struct PeerProgress {
+    /// A lower bound on the peer's decided prefix, from what it sent:
+    /// ACCEPT.commit_upto, ACCEPTED.decided_upto, DECIDE (instance + 1)
+    /// and DECIDE_ACK.
+    Instance decided_upto = 0;
+    /// Every decision below this has been sent to the peer at least once;
+    /// the tail flush never sends one twice.
+    Instance sent_upto = 0;
+    /// Earliest time of the next catch-up attempt.
+    TimePoint retry_at = 0;
+    /// Current backoff in retry periods. 1 = responding: the peer made
+    /// progress since the last attempt (it gets tail flushes and full
+    /// batches). More = it did not (no tail flush, one probe per attempt).
+    int backoff = 1;
+  };
+  /// Indexed by process id.
+  std::vector<PeerProgress> peers_;
+  /// commit_upto() as of the previous tick: a peer below it had at least
+  /// one full retry period to learn it, so it is stalled.
+  Instance commit_at_last_tick_ = 0;
 
   /// Values submitted here (locally or forwarded) and not yet observed in
   /// the decided log. Re-forwarded to the current leader on every tick.

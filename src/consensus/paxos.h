@@ -75,8 +75,8 @@ struct PromiseMsg {
 struct AcceptMsg {
   Round round = kNoRound;
   Instance instance = 0;
-  /// Everything below this instance is decided at the leader — lets
-  /// followers commit pipelined instances without waiting for DECIDE.
+  /// Everything below this instance is decided at the leader — the commit
+  /// path: followers learn each instance they accepted at this round.
   Instance commit_upto = 0;
   WireBlob value;
   /// Proposer clock at send; echoed by AcceptedMsg for lease accounting.
@@ -90,8 +90,11 @@ struct AcceptedMsg {
   Instance instance = 0;
   /// AcceptMsg::ts echoed back (support anchor for the proposer's lease).
   TimePoint echo_ts = 0;
+  /// The follower's decided prefix (first instance it has not learned),
+  /// taken after learning from the ACCEPT's commit_upto.
+  Instance decided_upto = 0;
 
-  LLS_WIRE_FIELDS(AcceptedMsg, round, instance, echo_ts)
+  LLS_WIRE_FIELDS(AcceptedMsg, round, instance, echo_ts, decided_upto)
 };
 
 struct NackMsg {
@@ -108,6 +111,8 @@ struct DecideMsg {
   LLS_WIRE_FIELDS(DecideMsg, instance, value)
 };
 
+/// Reply to a DECIDE. `instance` is the replier's decided prefix after
+/// learning it (its watermark), not the instance the DECIDE carried.
 struct DecideAckMsg {
   Instance instance = 0;
 

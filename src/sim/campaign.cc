@@ -163,6 +163,37 @@ void check_efficiency(const Simulator& sim, const CampaignConfig& config,
   violations.push_back(what.str());
 }
 
+/// Quiescent consensus cost (R3 after a failure): in the trailing window,
+/// consensus traffic stays within one message per follower per retry period
+/// for each consensus group — a bound that does not depend on how many
+/// instances were decided. Per-instance DECIDE retransmission to a crashed
+/// replica grows with the log and breaks it. Checked only when the window
+/// opens at least kQuietSettle after `quiet_from` (faults healed, workload
+/// stopped); shorter runs have no quiet window. Relay presets wrap
+/// consensus messages in relay envelopes, which this per-class count does
+/// not see.
+void check_quiet_consensus(const Simulator& sim, const CampaignConfig& config,
+                           TimePoint quiet_from, int groups,
+                           std::vector<std::string>& violations) {
+  constexpr Duration kQuietSettle = 5 * kSecond;
+  const TimePoint from = config.horizon - config.check_window;
+  if (from < quiet_from + kQuietSettle) return;
+  const Duration period = LogConsensusConfig{}.retry_period;
+  const std::uint64_t msgs =
+      NetStats::from(sim.plane().registry())
+          ->class_msgs_between(from, config.horizon,
+                               NetStats::type_class(msg_type::kAccept));
+  const double per_period = static_cast<double>(msgs) *
+                            static_cast<double>(period) /
+                            static_cast<double>(config.check_window);
+  const int bound = groups * (config.n - 1);
+  if (per_period <= bound) return;
+  std::ostringstream what;
+  what << "quiescent consensus traffic unbounded: " << per_period
+       << " msgs per retry period in the trailing window, bound " << bound;
+  violations.push_back(what.str());
+}
+
 /// Crash accounting cross-check: every kill Nemesis reports must be dead in
 /// the simulator, and kills never exceed a strict minority.
 void check_kill_accounting(const Simulator& sim, const Nemesis& nemesis,
@@ -454,12 +485,14 @@ CaseResult run_consensus(const CampaignConfig& config, std::uint64_t seed) {
   // only *owed* a decision if its submitter was alive at submission and was
   // never crash-stopped (a killed submitter's value may be lost with it).
   constexpr std::uint64_t kValues = 15;
+  constexpr TimePoint first_propose = 1 * kSecond;
+  constexpr Duration propose_every = 500 * kMillisecond;
   std::vector<ProcessId> submitter(kValues);
   std::vector<bool> submitted_alive(kValues, false);
   for (std::uint64_t k = 0; k < kValues; ++k) {
     submitter[k] = static_cast<ProcessId>(k % config.n);
-    sim.schedule(1 * kSecond + k * 500 * kMillisecond, [&sim, &submitted_alive,
-                                                        relayed, k]() {
+    sim.schedule(first_propose + k * propose_every, [&sim, &submitted_alive,
+                                                     relayed, k]() {
       ProcessId p = static_cast<ProcessId>(
           k % static_cast<std::uint64_t>(sim.n()));
       if (!sim.alive(p)) return;
@@ -529,6 +562,10 @@ CaseResult run_consensus(const CampaignConfig& config, std::uint64_t seed) {
          << " vs " << max_len << " at horizon";
     violations.push_back(what.str());
   }
+  const TimePoint last_propose =
+      first_propose + static_cast<Duration>(kValues - 1) * propose_every;
+  check_quiet_consensus(sim, config, std::max(config.quiesce, last_propose),
+                        1, violations);
   result.stabilized = !tracker.span_open();
   collect_histograms(sim, result);
   return result;
@@ -918,6 +955,12 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
     case LinVerdict::kBudgetExceeded:
       result.lin_budget_exceeded = true;
       break;
+  }
+  // The sabotage script's permanent partition never lets the deposed
+  // leader go quiet; its verdict is the linearizability one alone.
+  if (!config.lease_sabotage) {
+    check_quiet_consensus(sim, config, std::max(config.quiesce, submit_end),
+                          groups, violations);
   }
   result.stabilized = !tracker.span_open();
   collect_histograms(sim, result);

@@ -15,6 +15,10 @@
 //     deliberately inefficient);
 //   * agreement      — consensus logs are identical across alive nodes and
 //     every value proposed by a never-killed process is decided everywhere;
+//   * quiet cost     — in the same trailing window, consensus traffic stays
+//     within one message per follower per retry period and group, however
+//     many instances were decided (a crashed follower must not draw
+//     per-instance retransmission forever);
 //   * linearizability — client histories over the replicated KV store pass
 //     the Wing & Gong checker.
 //

@@ -1,9 +1,12 @@
 // White-box tests of the LogConsensus protocol state machine, driven
 // message-by-message through a FakeRuntime with a scripted Omega oracle.
 // These pin down the wire-level contract: ballot arithmetic, Phase 1
-// merging, no-op gap filling, nack-triggered abdication, decide
-// retransmission and the commit_upto piggyback.
+// merging, no-op gap filling, nack-triggered abdication, and the
+// watermark commit path: commit_upto piggyback, idle-tail flush and the
+// backed-off catch-up of stalled followers.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "consensus/log_consensus.h"
 #include "testing_util.h"
@@ -43,6 +46,20 @@ struct Fixture {
 
   /// Fires the single pending tick timer.
   void tick() { ASSERT_TRUE(rt.fire_next_timer(consensus)); }
+
+  /// Leader only: Phase 1 completed with a promise from p1.
+  void make_ready() {
+    tick();
+    deliver(1, msg_type::kPromise,
+            PromiseMsg{consensus.current_round(), {}}.encode());
+    ASSERT_TRUE(consensus.is_leader_ready());
+  }
+
+  /// Follower `q`'s ACCEPTED for instance `i`, reporting watermark `upto`.
+  void accepted(ProcessId q, Instance i, Instance upto) {
+    deliver(q, msg_type::kAccepted,
+            AcceptedMsg{consensus.current_round(), i, 0, upto}.encode());
+  }
 
   void deliver(ProcessId src, MessageType type, const Bytes& payload) {
     consensus.on_message(rt, src, type, payload);
@@ -114,31 +131,263 @@ TEST(LogConsensusUnit, ReadyLeaderDrivesProposalToDecision) {
   f.deliver(1, msg_type::kAccepted, AcceptedMsg{r, 0}.encode());
   ASSERT_TRUE(f.consensus.decision(0).has_value());
   EXPECT_EQ(*f.consensus.decision(0), val(7));
-  // Decide broadcast with ack tracking.
+  // Idle tail: no ACCEPT follows to carry commit_upto, so every follower
+  // not yet known to be silent is sent the DECIDE at once.
   EXPECT_NE(f.last_sent(1, msg_type::kDecide), nullptr);
   EXPECT_NE(f.last_sent(2, msg_type::kDecide), nullptr);
 }
 
 TEST(LogConsensusUnit, DecideRetransmittedUntilAcked) {
   Fixture f(/*self=*/0, /*n=*/3, /*leader=*/0);
-  f.tick();
-  Round r = f.consensus.current_round();
-  f.deliver(1, msg_type::kPromise, PromiseMsg{r, {}}.encode());
+  f.make_ready();
   f.consensus.propose(val(7));
-  f.deliver(1, msg_type::kAccepted, AcceptedMsg{r, 0}.encode());
+  f.accepted(1, 0, 0);
   ASSERT_TRUE(f.consensus.decision(0).has_value());
 
-  // p1 acks; p2 does not. The next tick retransmits only to p2.
-  f.deliver(1, msg_type::kDecideAck, DecideAckMsg{0}.encode());
+  // p1 got the tail DECIDE and reports watermark 1; p2 never answered.
+  // After one full retry period p2 is stalled and is caught up; p1 is not.
+  f.deliver(1, msg_type::kDecideAck, DecideAckMsg{1}.encode());
   f.rt.clear_sent();
+  f.tick();
+  EXPECT_EQ(f.rt.count_sent(2, msg_type::kDecide), 0);
   f.tick();
   EXPECT_EQ(f.rt.count_sent(1, msg_type::kDecide), 0);
   EXPECT_EQ(f.rt.count_sent(2, msg_type::kDecide), 1);
 
-  f.deliver(2, msg_type::kDecideAck, DecideAckMsg{0}.encode());
+  f.deliver(2, msg_type::kDecideAck, DecideAckMsg{1}.encode());
+  f.rt.clear_sent();
+  for (int k = 0; k < 100; ++k) f.tick();
+  EXPECT_EQ(f.rt.count_sent(1, msg_type::kDecide), 0);  // quiescent
+  EXPECT_EQ(f.rt.count_sent(2, msg_type::kDecide), 0);
+}
+
+TEST(LogConsensusUnit, NoDecideWhileAcceptsFlow) {
+  Fixture f(/*self=*/0, /*n=*/3, /*leader=*/0);
+  f.make_ready();
+  f.rt.clear_sent();
+  f.consensus.propose(val(1));
+  f.consensus.propose(val(2));
+  f.accepted(1, 0, 0);  // decides 0 while 1 is still in flight
+  f.accepted(2, 0, 0);  // a late ack, still not idle
+  ASSERT_TRUE(f.consensus.decision(0).has_value());
+  f.consensus.propose(val(3));
+  f.accepted(1, 1, 1);  // decides 1 while 2 is in flight
+  ASSERT_TRUE(f.consensus.decision(1).has_value());
+  f.consensus.propose(val(4));
+
+  // The commits ride on the next ACCEPT instead of a DECIDE fan-out.
+  for (ProcessId q : {1, 2}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kDecide), 0);
+    const Bytes* acc = f.last_sent(q, msg_type::kAccept);
+    ASSERT_NE(acc, nullptr);
+    auto msg = AcceptMsg::decode(*acc);
+    EXPECT_EQ(msg.instance, 3u);
+    EXPECT_EQ(msg.commit_upto, 2u);
+  }
+}
+
+TEST(LogConsensusUnit, IdleTailFlushSendsOneDecidePerLaggingFollower) {
+  Fixture f(/*self=*/0, /*n=*/5, /*leader=*/0);
+  f.tick();
+  Round r = f.consensus.current_round();
+  f.deliver(1, msg_type::kPromise, PromiseMsg{r, {}}.encode());
+  f.deliver(2, msg_type::kPromise, PromiseMsg{r, {}}.encode());
+  ASSERT_TRUE(f.consensus.is_leader_ready());
+  f.rt.clear_sent();
+  f.consensus.propose(val(7));
+  f.accepted(1, 0, 0);
+  EXPECT_EQ(f.rt.count_sent(1, msg_type::kDecide), 0);  // not decided yet
+  f.accepted(2, 0, 0);  // completes the majority of 5: the idle tail
+  ASSERT_TRUE(f.consensus.decision(0).has_value());
+  for (ProcessId q : {1, 2, 3, 4}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kDecide), 1);
+  }
+  f.accepted(3, 0, 0);  // a late ack: its DECIDE is already on the way
+  EXPECT_EQ(f.rt.count_sent(3, msg_type::kDecide), 1);
+
+  // The follower answers the DECIDE with its watermark.
+  Fixture follower(/*self=*/1, /*n=*/5, /*leader=*/0);
+  follower.deliver(0, msg_type::kAccept, AcceptMsg{r, 0, 0, val(7)}.encode());
+  follower.deliver(0, msg_type::kDecide, DecideMsg{0, val(7)}.encode());
+  const Bytes* ack = follower.last_sent(0, msg_type::kDecideAck);
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(DecideAckMsg::decode(*ack).instance, 1u);
+
+  // p4 never reports a watermark: once stalled it is caught up, and from
+  // then on it is no longer flushed as a responding follower.
+  for (ProcessId q : {1, 2, 3}) {
+    f.deliver(q, msg_type::kDecideAck, DecideAckMsg{1}.encode());
+  }
   f.rt.clear_sent();
   f.tick();
-  EXPECT_EQ(f.rt.count_sent(2, msg_type::kDecide), 0);  // quiescent
+  f.tick();
+  for (ProcessId q : {1, 2, 3}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kDecide), 0);
+  }
+  EXPECT_EQ(f.rt.count_sent(4, msg_type::kDecide), 1);
+  f.rt.clear_sent();
+  f.consensus.propose(val(8));
+  f.accepted(1, 1, 1);
+  f.accepted(2, 1, 1);
+  ASSERT_TRUE(f.consensus.decision(1).has_value());
+  for (ProcessId q : {1, 2, 3}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kDecide), 1);
+  }
+  EXPECT_EQ(f.rt.count_sent(4, msg_type::kDecide), 0);
+}
+
+/// Engines wired through their FakeRuntimes: pump() delivers every recorded
+/// send to its destination until none is left, losing what `drop` selects.
+struct Cluster {
+  std::vector<std::unique_ptr<Fixture>> nodes;
+
+  Cluster(int n, ProcessId leader) {
+    for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
+      nodes.push_back(std::make_unique<Fixture>(p, n, leader));
+    }
+  }
+
+  Fixture& at(ProcessId p) { return *nodes[p]; }
+
+  template <typename Drop>
+  void pump(Drop drop) {
+    for (bool moved = true; moved;) {
+      moved = false;
+      for (ProcessId src = 0; src < static_cast<ProcessId>(nodes.size());
+           ++src) {
+        std::vector<FakeRuntime::Sent> sent = at(src).rt.sent();
+        at(src).rt.clear_sent();
+        for (const auto& m : sent) {
+          if (drop(src, m)) continue;
+          at(m.dst).deliver(src, m.type, m.payload);
+          moved = true;
+        }
+      }
+    }
+  }
+};
+
+TEST(LogConsensusUnit, FollowerThatMissedAnAcceptIsCaughtUpAfterOneStalledTick) {
+  // The leader stays busy (instance 3's ACCEPTs are always lost), so no
+  // idle-tail flush happens; p2 also misses the ACCEPT for instance 0 and
+  // can never commit past it from commit_upto alone.
+  Cluster c(/*n=*/3, /*leader=*/0);
+  auto lossy = [](ProcessId, const FakeRuntime::Sent& m) {
+    if (m.type != msg_type::kAccept) return false;
+    const auto acc = AcceptMsg::decode(m.payload);
+    return acc.instance == 3 || (acc.instance == 0 && m.dst == 2);
+  };
+  c.at(0).tick();
+  c.pump(lossy);
+  ASSERT_TRUE(c.at(0).consensus.is_leader_ready());
+  for (std::uint8_t x = 1; x <= 4; ++x) c.at(0).consensus.propose(val(x));
+  c.pump(lossy);
+  for (Instance i = 0; i < 3; ++i) {
+    ASSERT_TRUE(c.at(0).consensus.decision(i).has_value());
+  }
+  EXPECT_EQ(c.at(2).consensus.first_unknown(), 0u);
+
+  c.at(0).tick();  // records the commit point; nobody is stalled yet
+  c.pump(lossy);
+  EXPECT_EQ(c.at(2).consensus.first_unknown(), 0u);
+  c.at(0).tick();  // p2 is one full period below it: caught up
+  c.pump(lossy);
+  ASSERT_EQ(c.at(2).consensus.first_unknown(), 3u);
+  EXPECT_EQ(*c.at(2).consensus.decision(0), val(1));
+}
+
+TEST(LogConsensusUnit, StaleIdleLeaderLearnsARivalsDecisionFromFollowers) {
+  // Regression for a convergence failure found by the consensus campaign
+  // (seeds 381, 395, 511, 550): p0 stays ready while cut off, p1 decides
+  // an instance at a higher round, then Omega returns to p0. The idle p0
+  // sends nothing that could be refused, so only the followers can tell it.
+  Cluster c(/*n=*/3, /*leader=*/0);
+  auto pump_all = [&c]() {
+    c.pump([](ProcessId, const FakeRuntime::Sent&) { return false; });
+  };
+  auto cut_p0 = [](ProcessId src, const FakeRuntime::Sent& m) {
+    return src == 0 || m.dst == 0;
+  };
+  c.at(0).tick();
+  pump_all();
+  ASSERT_TRUE(c.at(0).consensus.is_leader_ready());
+
+  c.at(1).omega.set(1);
+  c.at(2).omega.set(1);
+  c.at(1).tick();
+  c.pump(cut_p0);
+  ASSERT_TRUE(c.at(1).consensus.is_leader_ready());
+  c.at(1).consensus.propose(val(5));
+  c.pump(cut_p0);
+  ASSERT_EQ(c.at(2).consensus.first_unknown(), 1u);
+  EXPECT_EQ(c.at(0).consensus.first_unknown(), 0u);
+
+  c.at(1).omega.set(0);
+  c.at(2).omega.set(0);
+  for (int t = 0; t < 3; ++t) {
+    for (ProcessId p = 0; p < 3; ++p) c.at(p).tick();
+    pump_all();
+  }
+  ASSERT_EQ(c.at(0).consensus.first_unknown(), 1u);
+  EXPECT_EQ(*c.at(0).consensus.decision(0), val(5));
+  EXPECT_TRUE(c.at(0).consensus.is_leader_ready());  // still stale, still safe
+
+  // Once the leader is known to have it, nobody sends anything.
+  for (int t = 0; t < 100; ++t) {
+    for (ProcessId p = 0; p < 3; ++p) c.at(p).tick();
+  }
+  for (ProcessId p = 0; p < 3; ++p) {
+    EXPECT_TRUE(c.at(p).rt.sent().empty()) << "p" << p;
+  }
+}
+
+TEST(LogConsensusUnit, SilentFollowerCatchUpIsBoundedAndBacksOff) {
+  // The catch-up traffic a silent (crashed) follower draws over 1000 ticks
+  // must not depend on how long the log is.
+  auto run = [](std::uint8_t log_len) {
+    Fixture f(/*self=*/0, /*n=*/3, /*leader=*/0);
+    f.make_ready();
+    for (std::uint8_t x = 0; x < log_len; ++x) {
+      f.consensus.propose(val(x));
+      f.accepted(1, x, x);
+      f.deliver(1, msg_type::kDecideAck, DecideAckMsg{x + 1u}.encode());
+    }
+    EXPECT_EQ(f.consensus.first_unknown(), log_len);
+    f.rt.clear_sent();
+    std::vector<int> attempts;
+    int total = 0;
+    for (int t = 0; t < 1000; ++t) {
+      f.rt.clear_sent();
+      f.tick();
+      EXPECT_EQ(f.rt.count_sent(1, msg_type::kDecide), 0);
+      const int sent = f.rt.count_sent(2, msg_type::kDecide);
+      EXPECT_LE(sent, static_cast<int>(LogConsensus::kCatchupBatch));
+      if (sent > 0) attempts.push_back(t);
+      total += sent;
+    }
+    // The backoff doubles while the watermark does not move, up to the cap.
+    int expect_gap = 1;
+    for (std::size_t k = 1; k < attempts.size(); ++k) {
+      EXPECT_EQ(attempts[k] - attempts[k - 1], expect_gap);
+      expect_gap = std::min(expect_gap * 2, LogConsensus::kCatchupBackoffCap);
+    }
+    EXPECT_EQ(expect_gap, LogConsensus::kCatchupBackoffCap);
+    return total;
+  };
+  const int short_log = run(100);
+  EXPECT_EQ(short_log, run(200));
+  EXPECT_LT(short_log, 2 * static_cast<int>(LogConsensus::kCatchupBatch));
+}
+
+TEST(LogConsensusUnit, SilentFollowerDoesNotPinCompaction) {
+  Fixture f(/*self=*/0, /*n=*/3, /*leader=*/0);
+  f.make_ready();
+  for (std::uint8_t x = 0; x < 10; ++x) {
+    f.consensus.propose(val(x));
+    f.accepted(1, x, x);  // p2 never answers
+  }
+  EXPECT_EQ(f.consensus.compact(10), 10u);
+  EXPECT_EQ(f.consensus.log_entries_held(), 0u);
 }
 
 TEST(LogConsensusUnit, AcceptorGrantsAndReportsState) {
@@ -265,6 +514,10 @@ TEST(LogConsensusUnit, CommitUptoPiggybackDecidesPipelinedInstances) {
   f.deliver(0, msg_type::kAccept, AcceptMsg{0, 1, 1, val(2)}.encode());
   ASSERT_TRUE(f.consensus.decision(0).has_value());
   EXPECT_EQ(*f.consensus.decision(0), val(1));
+  // The reply is sent after learning: it reports the new watermark.
+  const Bytes* ack = f.last_sent(0, msg_type::kAccepted);
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(AcceptedMsg::decode(*ack).decided_upto, 1u);
 }
 
 TEST(LogConsensusUnit, CommitUptoIgnoresOtherRoundAcceptances) {
@@ -411,6 +664,56 @@ TEST(LogConsensusUnit, AbdicationRequeuesAValueDisplacedFromADecidedSlot) {
   // And a duplicate of that decide must not disturb the queue.
   f.deliver(2, msg_type::kDecide, DecideMsg{0, val(6)}.encode());
   EXPECT_EQ(f.consensus.pending_count(), 1u);
+}
+
+TEST(LogConsensusUnit, AbdicationLeavesRecoveredValuesToTheirSubmitters) {
+  // Regression for an exponential log blow-up under dueling leaders found
+  // by the kv campaign (seed 37): each abdication re-queued the values its
+  // Phase 1 had recovered from earlier epochs, so every epoch re-submitted
+  // all of them at fresh instances. Only the leader's own submissions are
+  // owed placement by it; a recovered value's submitter keeps forwarding it.
+  Fixture f(/*self=*/1, /*n=*/3, /*leader=*/1);
+  f.consensus.propose(val(9));
+  f.tick();
+  PromiseMsg promise;
+  promise.round = f.consensus.current_round();
+  promise.entries.push_back(PromiseEntry{0, /*accepted_round=*/0, false, val(5)});
+  f.deliver(0, msg_type::kPromise, promise.encode());
+  ASSERT_TRUE(f.consensus.is_leader_ready());
+
+  f.omega.set(2);
+  f.rt.clear_sent();
+  f.tick();
+  EXPECT_FALSE(f.consensus.is_leader_ready());
+  EXPECT_EQ(f.consensus.pending_count(), 1u);
+  ASSERT_EQ(f.rt.count_sent(2, msg_type::kForward), 1);
+  EXPECT_EQ(ForwardMsg::decode(*f.last_sent(2, msg_type::kForward)).value,
+            val(9));
+}
+
+TEST(LogConsensusUnit, LeaderThatLosesASlotStepsDownBeforeCommittingPastIt) {
+  // Regression for an agreement violation found by the consensus campaign
+  // once followers push decisions to a stale leader: p0 proposed 9 at
+  // instance 0 in round r, then learned that a rival decided 6 there. p1
+  // still holds (r, 0, 9); an ACCEPT at round r with commit_upto 1 would
+  // make p1 learn 9. The leader must step down and re-prepare instead.
+  Fixture f(/*self=*/0, /*n=*/3, /*leader=*/0);
+  f.make_ready();
+  const Round r = f.consensus.current_round();
+  f.consensus.propose(val(9));
+  f.deliver(2, msg_type::kDecide, DecideMsg{0, val(6)}.encode());
+  EXPECT_FALSE(f.consensus.is_leader_ready());
+  EXPECT_EQ(f.consensus.pending_count(), 1u);  // 9 is still owed placement
+
+  f.rt.clear_sent();
+  f.consensus.propose(val(8));
+  f.tick();
+  for (const auto& m : f.rt.sent()) {
+    EXPECT_NE(m.type, msg_type::kAccept);
+  }
+  const Bytes* prep = f.last_sent(1, msg_type::kPrepare);
+  ASSERT_NE(prep, nullptr);
+  EXPECT_GT(PrepareMsg::decode(*prep).round, r);
 }
 
 TEST(LogConsensusUnit, ForwardDeduplicatesAgainstLogAndQueue) {

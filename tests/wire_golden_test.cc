@@ -15,7 +15,9 @@
 //   * vectors are u32 count + inline elements;
 //   * the lease fields ride at the END of their structs: ts on
 //     Prepare/Accept, echo_ts on Promise/Accepted, read_only on Command —
-//     so every pre-lease prefix of those messages is unchanged.
+//     so every pre-lease prefix of those messages is unchanged;
+//   * AcceptedMsg ends with the follower's decided_upto watermark, after
+//     echo_ts.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -89,8 +91,9 @@ TEST(WireGolden, ConsensusMessages) {
                 500},
       "0b000000000000000400000000000000020000000000000003000000010203"
       "f401000000000000");
-  expect_golden(AcceptedMsg{11, 4, 500},
-                "0b000000000000000400000000000000f401000000000000");
+  expect_golden(AcceptedMsg{11, 4, 500, 3},
+                "0b000000000000000400000000000000f401000000000000"
+                "0300000000000000");
   expect_golden(NackMsg{3, 8}, "03000000000000000800000000000000");
   expect_golden(DecideMsg{13, Bytes{std::byte{0xFF}}},
                 "0d0000000000000001000000ff");
@@ -163,10 +166,12 @@ TEST(WireGolden, ShardEnvelope) {
 TEST(WireGolden, ZeroLeaseTimestampsDecodeAsNoSupport) {
   const AcceptedMsg acc = AcceptedMsg::decode(
       from_hex("0b000000000000000400000000000000"
+               "0000000000000000"
                "0000000000000000"));
   EXPECT_EQ(acc.round, 11u);
   EXPECT_EQ(acc.instance, 4u);
   EXPECT_EQ(acc.echo_ts, 0);
+  EXPECT_EQ(acc.decided_upto, 0u);
 }
 
 }  // namespace
