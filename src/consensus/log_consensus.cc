@@ -139,6 +139,13 @@ Instance LogConsensus::first_undecided() const { return next_notify_; }
 Instance LogConsensus::commit_upto() const { return next_notify_; }
 
 void LogConsensus::on_timer(Runtime& rt, TimerId timer) {
+  if (timer == fence_wake_timer_) {
+    fence_wake_timer_ = kInvalidTimer;
+    if (i_am_omega_leader() && !leader_ready_ && !preparing_) {
+      start_prepare(rt);
+    }
+    return;
+  }
   if (timer != tick_timer_) return;
   tick_timer_ = rt.set_timer(config_.retry_period);
   drive(rt);
@@ -175,9 +182,17 @@ void LogConsensus::start_prepare(Runtime& rt) {
   // very process — letting it assemble a majority inside the holder's
   // window (asymmetric partitions make this reachable; see DESIGN.md §14).
   // Also covers the crash-recovery fence-all (holder = kNoProcess). No
-  // state changes before this point, and drive()'s retry loop re-attempts
-  // once the window lapses.
-  if (fenced_against(self_, rt.now())) return;
+  // state changes before this point. The candidate wakes at the fence's
+  // expiry rather than on its next poll: the rival acceptors' fences to a
+  // crashed holder lapse at about the same instant, and a PREPARE that
+  // waits up to a retry period for the poll loses that race. A renewed
+  // fence simply re-arms the wake.
+  if (fenced_against(self_, rt.now())) {
+    if (fence_wake_timer_ == kInvalidTimer) {
+      fence_wake_timer_ = rt.set_timer(fence_until_ - rt.now());
+    }
+    return;
+  }
   Round bound = std::max({highest_seen_round_, acceptor_.promised(), my_round_});
   my_round_ = next_ballot(self_, n_, bound);
   preparing_ = true;
@@ -195,6 +210,7 @@ void LogConsensus::start_prepare(Runtime& rt) {
     become_ready(rt);
     return;
   }
+  prepare_sent_at_ = rt.now();
   auto payload = wire::encode_pooled(
       rt.pool(), PrepareMsg{my_round_, prepare_from_, rt.now()});
   for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
@@ -237,6 +253,7 @@ void LogConsensus::become_ready(Runtime& rt) {
     inf.value = pair.value;
     inf.recovered = true;
     inf.acks.insert(self_);
+    inf.sent_at = rt.now();
     acceptor_.on_accept(my_round_, i, inf.value);
     inflight_[i] = std::move(inf);
     accept_started_.try_emplace(i, rt.now());
@@ -262,6 +279,7 @@ void LogConsensus::assign_pending(Runtime& rt) {
     InFlight inf;
     inf.value = std::move(value);
     inf.acks.insert(self_);
+    inf.sent_at = rt.now();
     acceptor_.on_accept(my_round_, i, inf.value);
     inflight_[i] = std::move(inf);
     accept_started_.try_emplace(i, rt.now());
@@ -281,7 +299,17 @@ void LogConsensus::send_accept(Runtime& rt, ProcessId dst, Instance i) {
 }
 
 void LogConsensus::retransmit(Runtime& rt) {
-  if (preparing_) {
+  // By age, not by tick: under load most ACCEPTs in flight at a tick were
+  // sent within the last period and their ACCEPTEDs are still on the wire.
+  // Re-sending those costs a duplicate ACCEPT and ACCEPTED per follower
+  // that has not answered yet, holding the steady state above 2(n-1).
+  const TimePoint now = rt.now();
+  auto due = [&](TimePoint& sent_at) {
+    if (now - sent_at < config_.retry_period) return false;
+    sent_at = now;
+    return true;
+  };
+  if (preparing_ && due(prepare_sent_at_)) {
     auto payload = wire::encode_pooled(
         rt.pool(), PrepareMsg{my_round_, prepare_from_, rt.now()});
     for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
@@ -291,7 +319,8 @@ void LogConsensus::retransmit(Runtime& rt) {
     }
   }
   if (leader_ready_) {
-    for (const auto& [i, inf] : inflight_) {
+    for (auto& [i, inf] : inflight_) {
+      if (!due(inf.sent_at)) continue;
       for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
         if (q != self_ && !inf.acks.contains(q)) send_accept(rt, q, i);
       }
@@ -534,9 +563,9 @@ void LogConsensus::handle_prepare(Runtime& rt, ProcessId src,
   // agreement violation. Refusing keeps the intersection argument intact:
   // any quorum that does promise has every member's watermark <= msg.from,
   // so everything decided or accepted at >= msg.from is still reportable.
-  // The candidate retries each tick and gets through once the current
-  // leader's watermark catch-up brings it past our watermark (compaction
-  // policy must not outrun the slowest live replica — see
+  // The candidate re-sends every retry period and gets through once the
+  // current leader's watermark catch-up brings it past our watermark
+  // (compaction policy must not outrun the slowest live replica — see
   // KvCore::compact_to).
   if (msg.from < log_base_) return;
   highest_seen_round_ = std::max(highest_seen_round_, msg.round);

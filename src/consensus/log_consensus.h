@@ -18,9 +18,11 @@
 //    catch up a follower whose watermark has stalled. Symmetrically, a
 //    follower pushes the leader a decision the leader is not known to
 //    have (a stale leader that missed a rival's epoch).
-//  * Phase-1/Phase-2 messages are retransmitted on a timer until the
-//    required acks arrive — over fair-lossy links, retried messages
-//    eventually get through. Followers never retransmit spontaneously;
+//  * A PREPARE or ACCEPT is re-sent to the processes that have not
+//    answered it once it is a full retry period old, until the required
+//    acks arrive — over fair-lossy links, retried messages eventually get
+//    through, and a younger one may still be answered, so re-sending it
+//    early buys nothing. Followers never retransmit spontaneously;
 //    they only answer the leader (preserving the communication-efficiency
 //    discipline) and re-forward their own pending proposals to the current
 //    leader.
@@ -44,7 +46,8 @@
 namespace lls {
 
 struct LogConsensusConfig {
-  /// Retransmission / leadership-poll period.
+  /// Leadership-poll period, and the age at which an unanswered PREPARE or
+  /// ACCEPT is re-sent to the processes that have not answered it.
   Duration retry_period = 20 * kMillisecond;
 
   /// Crash-recovery extension: persist the acceptor state and the decided
@@ -183,6 +186,8 @@ class LogConsensus final : public ConsensusActor {
   void become_ready(Runtime& rt);
   void assign_pending(Runtime& rt);
   void send_accept(Runtime& rt, ProcessId dst, Instance i);
+  /// Re-sends every PREPARE/ACCEPT that is at least one retry period old
+  /// to the processes that have not answered it.
   void retransmit(Runtime& rt);
   /// Per-tick watermark catch-up: a ready leader catches up its stalled
   /// followers, anyone else the leader it trusts.
@@ -276,6 +281,8 @@ class LogConsensus final : public ConsensusActor {
   ProcessId self_ = kNoProcess;
   int n_ = 0;
   TimerId tick_timer_ = kInvalidTimer;
+  /// One-shot wake at fence_until_ for a candidate its own fence refused.
+  TimerId fence_wake_timer_ = kInvalidTimer;
   /// Captured at on_start so externally-invoked propose() can drive the
   /// protocol eagerly instead of waiting for the next tick.
   Runtime* rt_ = nullptr;
@@ -294,10 +301,14 @@ class LogConsensus final : public ConsensusActor {
   std::set<ProcessId> promises_;
   std::map<Instance, Acceptor::AcceptedPair> promise_merge_;
   Instance prepare_from_ = 0;
+  /// When this epoch's PREPAREs were last sent.
+  TimePoint prepare_sent_at_ = 0;
 
   struct InFlight {
     Bytes value;
     std::set<ProcessId> acks;
+    /// When its ACCEPTs were last sent.
+    TimePoint sent_at = 0;
     /// Re-proposed from a Phase-1 merge, not submitted to this leader.
     bool recovered = false;
   };

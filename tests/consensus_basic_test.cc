@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "consensus/experiment.h"
+#include "net/net_stats.h"
 #include "net/topology.h"
 
 namespace lls {
@@ -102,6 +103,58 @@ TEST(ConsensusBasic, LargeBatchPipelines) {
   auto r = run_consensus_experiment(exp);
   EXPECT_TRUE(r.all_decided);
   EXPECT_TRUE(r.agreement_ok);
+}
+
+TEST(ConsensusBasic, SteadyStateCostIsThePhaseTwoFloor) {
+  // A stable leader under load pays one ACCEPT and one ACCEPTED per
+  // follower per instance: 2(n-1). Links are lossless and every delay is
+  // far below the retry period, so no re-send is ever owed; re-sending
+  // ACCEPTs whose ACCEPTEDs are still on the wire shows up here as cost
+  // above the floor. Only a window inside the load is counted, which
+  // leaves out the one-time Phase 1 and the idle-tail flush.
+  constexpr int kN = 5;
+  constexpr ProcessId kLeader = 0;
+  constexpr TimePoint kLoadFrom = 1 * kSecond;
+  constexpr TimePoint kLoadTo = 4 * kSecond;
+  constexpr TimePoint kWindowFrom = 1500 * kMillisecond;
+  constexpr TimePoint kWindowTo = 3500 * kMillisecond;
+  Simulator sim(SimConfig{kN, /*seed=*/3, 10 * kMillisecond},
+                make_all_timely({500, 2 * kMillisecond}));
+  std::vector<CeNode*> nodes;
+  for (ProcessId p = 0; p < kN; ++p) {
+    nodes.push_back(&sim.emplace_actor<CeNode>(p, CeOmegaConfig{},
+                                               LogConsensusConfig{}));
+  }
+  std::uint64_t decided_in_window = 0;
+  obs::Subscription sub = sim.plane().bus().subscribe(
+      obs::mask_of(obs::EventType::kDecide), [&](const obs::Event& e) {
+        if (e.process == kLeader && sim.now() >= kWindowFrom &&
+            sim.now() < kWindowTo) {
+          ++decided_in_window;
+        }
+      });
+  // A proposal every 0.5 ms, faster than the quickest round trip, keeps
+  // several instances in flight at every tick and the pipeline never idle.
+  std::uint64_t next_id = 1;
+  sim.schedule_every(kLoadFrom, 500 * kMicrosecond, [&]() {
+    nodes[kLeader]->consensus().propose(make_value(next_id++));
+    return sim.now() < kLoadTo;
+  });
+  sim.start();
+  sim.run_until(kLoadTo + 1 * kSecond);
+
+  for (ProcessId p = 0; p < kN; ++p) {
+    ASSERT_EQ(nodes[p]->omega().leader(), kLeader);
+    ASSERT_EQ(nodes[p]->consensus().first_unknown(), next_id - 1);
+  }
+  ASSERT_GT(decided_in_window, 3000u);
+  const NetStats& stats = *NetStats::from(sim.plane().registry());
+  const auto msgs = stats.class_msgs_between(
+      kWindowFrom, kWindowTo, NetStats::type_class(msg_type::kConsensusBase));
+  const double per_decision =
+      static_cast<double>(msgs) / static_cast<double>(decided_in_window);
+  const double floor = 2.0 * (kN - 1);
+  EXPECT_NEAR(per_decision, floor, 0.01 * floor);
 }
 
 }  // namespace

@@ -58,13 +58,14 @@ LogConsensusConfig leased_config() {
 }
 
 struct Fixture {
+  // The runtime is declared first so it outlives the engine bound to it.
   FixedOmega omega;
-  LogConsensus consensus;
   FakeRuntime rt;
+  LogConsensus consensus;
 
   Fixture(ProcessId self, int n, ProcessId leader,
           LogConsensusConfig config = leased_config())
-      : omega(leader), consensus(config, &omega), rt(self, n) {
+      : omega(leader), rt(self, n), consensus(config, &omega) {
     consensus.on_start(rt);
   }
 
@@ -193,13 +194,12 @@ TEST(LeaseUnit, FencedProcessRefusesToCampaignEvenForItself) {
   // No self-promise happened either: the local acceptor still holds p0's
   // round, so a PROMISE p0 is owed can still be granted.
   EXPECT_EQ(f.consensus.acceptor().promised(), promised);
-  // Once the window lapses, the ordinary retry loop campaigns. (The tick
-  // sends PREPARE via start_prepare and again via the same tick's
-  // retransmit sweep, so count >= 1 is the invariant.)
+  // Once the window lapses, the next attempt campaigns, with one PREPARE
+  // each: the same tick's retransmit sweep finds it too young to re-send.
   f.rt.advance(kWindow + 1);
   f.tick();
-  EXPECT_GE(f.rt.count_sent(0, msg_type::kPrepare), 1);
-  EXPECT_GE(f.rt.count_sent(2, msg_type::kPrepare), 1);
+  EXPECT_EQ(f.rt.count_sent(0, msg_type::kPrepare), 1);
+  EXPECT_EQ(f.rt.count_sent(2, msg_type::kPrepare), 1);
   EXPECT_GT(f.consensus.acceptor().promised(), promised);
 }
 
@@ -242,12 +242,14 @@ TEST(LeaseUnit, RedirectedReadOnlyCommandIsNotCountedAsOrdered) {
   // real leader, which counts it there — counting at every redirect hop
   // would double-book the fast-path-economy numbers the benches assert on.
   FixedOmega omega(/*leader=*/1);
+  // The runtime is declared first: the core's event-bus subscription is
+  // released when the core is destroyed, so the bus must still exist then.
+  FakeRuntime rt(/*id=*/0, /*n=*/4);  // process 3 is the client session
   KvCoreOptions opts;
   opts.omega = &omega;
   opts.consensus = leased_config();
   opts.replica.cluster_n = 3;
   KvCore core(opts);
-  FakeRuntime rt(/*id=*/0, /*n=*/4);  // process 3 is the client session
   core.on_start(rt);
 
   Command cmd;
@@ -303,8 +305,8 @@ TEST(LeaseUnit, DurableBootFencesAgainstEveryoneForOneWindow) {
   FixedOmega omega(0);
   LogConsensusConfig config = leased_config();
   config.durable = true;
-  LogConsensus consensus(config, &omega);
   DurableFakeRuntime rt(/*id=*/2, /*n=*/3);
+  LogConsensus consensus(config, &omega);
   consensus.on_start(rt);
   EXPECT_EQ(consensus.fence_holder(), kNoProcess);
   EXPECT_EQ(consensus.fence_until(), rt.now() + kWindow);

@@ -3,7 +3,7 @@
 // These pin down the wire-level contract: ballot arithmetic, Phase 1
 // merging, no-op gap filling, nack-triggered abdication, and the
 // watermark commit path: commit_upto piggyback, idle-tail flush and the
-// backed-off catch-up of stalled followers.
+// backed-off catch-up of stalled followers; and age-based retransmission.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -37,14 +37,13 @@ struct Fixture {
   LogConsensus consensus;
   FakeRuntime rt;
 
-  explicit Fixture(ProcessId self, int n, ProcessId leader)
-      : omega(leader),
-        consensus(LogConsensusConfig{}, &omega),
-        rt(self, n) {
+  explicit Fixture(ProcessId self, int n, ProcessId leader,
+                   LogConsensusConfig config = {})
+      : omega(leader), consensus(config, &omega), rt(self, n) {
     consensus.on_start(rt);
   }
 
-  /// Fires the single pending tick timer.
+  /// Fires the earliest pending timer: the tick, or a due fence wake.
   void tick() { ASSERT_TRUE(rt.fire_next_timer(consensus)); }
 
   /// Leader only: Phase 1 completed with a promise from p1.
@@ -388,6 +387,96 @@ TEST(LogConsensusUnit, SilentFollowerDoesNotPinCompaction) {
   }
   EXPECT_EQ(f.consensus.compact(10), 10u);
   EXPECT_EQ(f.consensus.log_entries_held(), 0u);
+}
+
+TEST(LogConsensusUnit, PrepareIsResentByAgeOnlyToNonPromisers) {
+  Fixture f(/*self=*/0, /*n=*/5, /*leader=*/0);
+  f.tick();  // Phase 1: one PREPARE each, no same-tick re-send
+  for (ProcessId q : {1, 2, 3, 4}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kPrepare), 1);
+  }
+  f.deliver(1, msg_type::kPromise,
+            PromiseMsg{f.consensus.current_round(), {}}.encode());
+  ASSERT_FALSE(f.consensus.is_leader_ready());
+  f.rt.clear_sent();
+  f.tick();  // a full retry period old: re-sent to the silent ones only
+  EXPECT_EQ(f.rt.count_sent(1, msg_type::kPrepare), 0);
+  for (ProcessId q : {2, 3, 4}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kPrepare), 1);
+  }
+}
+
+TEST(LogConsensusUnit, AcceptIsResentByAgeOnlyToFollowersThatHaveNotAcked) {
+  Fixture f(/*self=*/0, /*n=*/5, /*leader=*/0);
+  f.tick();
+  const Round r = f.consensus.current_round();
+  f.deliver(1, msg_type::kPromise, PromiseMsg{r, {}}.encode());
+  f.deliver(2, msg_type::kPromise, PromiseMsg{r, {}}.encode());
+  ASSERT_TRUE(f.consensus.is_leader_ready());
+  const Duration period = LogConsensusConfig{}.retry_period;
+  f.rt.advance(period / 4);  // off the tick grid
+  f.rt.clear_sent();
+  f.consensus.propose(val(1));
+  for (ProcessId q : {1, 2, 3, 4}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kAccept), 1);
+  }
+  f.accepted(1, 0, 0);  // self + p1: still short of a majority of 5
+  ASSERT_FALSE(f.consensus.decision(0).has_value());
+
+  f.rt.clear_sent();
+  f.tick();  // 3/4 of a period old: its ACCEPTEDs may still be on the wire
+  for (ProcessId q : {1, 2, 3, 4}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kAccept), 0);
+  }
+  f.tick();  // past one period: re-sent to the followers that have not acked
+  EXPECT_EQ(f.rt.count_sent(1, msg_type::kAccept), 0);
+  for (ProcessId q : {2, 3, 4}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kAccept), 1);
+  }
+  f.rt.clear_sent();
+  f.tick();  // the re-send restarted the clock, which is a period old again
+  for (ProcessId q : {2, 3, 4}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kAccept), 1);
+  }
+}
+
+TEST(LogConsensusUnit, FencedCandidateCampaignsAtTheFenceExpiry) {
+  // p1 granted the leader p0 an ACCEPTED, so its fence binds its own
+  // candidacy until p0's window lapses. When p0 crashes and Omega moves
+  // to p1, the PREPARE must leave at the expiry itself, not at the first
+  // tick after it: the other acceptors' fences to p0 lapse at about the
+  // same time, and a candidate that polls loses that race.
+  LogConsensusConfig config;
+  config.lease.enabled = true;
+  Fixture f(/*self=*/1, /*n=*/5, /*leader=*/0, config);
+  f.rt.advance(5 * kMillisecond);  // off the tick grid
+  f.deliver(0, msg_type::kAccept, AcceptMsg{5, 0, 0, val(1)}.encode());
+  const TimePoint expiry = f.consensus.fence_until();
+  ASSERT_EQ(f.consensus.fence_holder(), 0u);
+  ASSERT_EQ(expiry % config.retry_period, 5 * kMillisecond);
+  f.omega.set(1);
+  f.rt.clear_sent();
+  while (f.rt.count_sent(2, msg_type::kPrepare) == 0) {
+    f.tick();
+    ASSERT_LE(f.rt.now(), expiry);
+  }
+  EXPECT_EQ(f.rt.now(), expiry);
+  for (ProcessId q : {0, 3, 4}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kPrepare), 1);
+  }
+  f.deliver(2, msg_type::kPromise,
+            PromiseMsg{f.consensus.current_round(), {}}.encode());
+  f.rt.clear_sent();
+  f.tick();  // the next tick comes before the PREPARE is a period old
+  ASSERT_LT(f.rt.now() - expiry, config.retry_period);
+  for (ProcessId q : {0, 2, 3, 4}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kPrepare), 0);
+  }
+  f.tick();
+  EXPECT_EQ(f.rt.count_sent(2, msg_type::kPrepare), 0);
+  for (ProcessId q : {0, 3, 4}) {
+    EXPECT_EQ(f.rt.count_sent(q, msg_type::kPrepare), 1);
+  }
 }
 
 TEST(LogConsensusUnit, AcceptorGrantsAndReportsState) {

@@ -137,12 +137,18 @@ TEST(KvReplication, AllReplicasConvergeToSameState) {
 }
 
 TEST(KvReplication, CallbackFiresWithResult) {
+  // The Get is sent from the Put's callback: two commands submitted at
+  // once may be ordered either way over non-FIFO links (see
+  // KvReplicaConfig::fifo_client_order), so only a sequential client is
+  // owed its own write.
   Cluster c(3, 2, timely());
   std::vector<std::string> reads;
   c.sim.schedule(1 * kSecond, [&]() {
-    c.replicas[1]->submit(KvOp::kPut, "k", "hello");
-    c.replicas[1]->submit(KvOp::kGet, "k", "", "",
-                          [&](const KvResult& r) { reads.push_back(r.value); });
+    c.replicas[1]->submit(KvOp::kPut, "k", "hello", "", [&](const KvResult&) {
+      c.replicas[1]->submit(
+          KvOp::kGet, "k", "", "",
+          [&](const KvResult& r) { reads.push_back(r.value); });
+    });
   });
   c.sim.start();
   c.sim.run_until(20 * kSecond);
