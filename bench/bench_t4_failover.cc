@@ -11,6 +11,7 @@
 #include "bench_util.h"
 #include "consensus/experiment.h"
 #include "net/topology.h"
+#include "obs/histogram.h"
 #include "omega/experiment.h"
 
 using namespace lls;
@@ -68,7 +69,7 @@ int main() {
 
   {
     Table table({"n", "seed", "re-election(ms)"});
-    Summary all;
+    obs::Histogram all;
     for (int n : {5, 10}) {
       for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
         Duration d = measure_reelection(n, seed);

@@ -13,10 +13,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.h"
 #include "consensus/node.h"
 #include "consensus/rotating_consensus.h"
 #include "net/link.h"
+#include "obs/histogram.h"
 #include "sim/simulator.h"
 
 namespace lls {
@@ -61,8 +61,10 @@ struct ConsensusResult {
   bool all_decided = false;
 
   // Performance.
-  Summary latency_first;  ///< propose -> first process decides (us)
-  Summary latency_all;    ///< propose -> all correct processes decide (us)
+  /// Propose -> first process decides (us).
+  obs::Histogram latency_first;
+  /// Propose -> all correct processes decide (us).
+  obs::Histogram latency_all;
   std::uint64_t total_msgs = 0;
   /// Consensus-class messages per decided value (excludes Omega heartbeats,
   /// which are accounted separately — see the T2 benchmark).

@@ -1,91 +1,47 @@
 #include "runtime/thread_runtime.h"
 
-#include <chrono>
-#include <deque>
+#include <atomic>
 #include <stdexcept>
+#include <thread>
 
-#include "common/blob.h"
+#include "runtime/event_loop.h"
 
 namespace lls {
 
-namespace {
-std::chrono::steady_clock::time_point to_steady(
-    std::chrono::steady_clock::time_point epoch, TimePoint t) {
-  return epoch + std::chrono::microseconds(t);
-}
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// ProcessLoop: one thread + inbox + timer heap, implementing Runtime.
+// ProcessLoop: one thread + one EventLoop, implementing Runtime.
 // ---------------------------------------------------------------------------
 
 class ThreadCluster::ProcessLoop final : public Runtime {
  public:
   ProcessLoop(ThreadCluster& cluster, ProcessId id, Rng rng)
-      : cluster_(cluster), id_(id), rng_(rng) {}
+      : cluster_(cluster), id_(id), rng_(rng), loop_(*this) {}
 
   ~ProcessLoop() override { stop(); }
 
   void set_actor(std::unique_ptr<Actor> actor) { actor_ = std::move(actor); }
+  [[nodiscard]] bool has_actor() const { return actor_ != nullptr; }
+  /// Where the router queues deliveries and post() queues calls. Open from
+  /// construction, so peers' on_start traffic waits here for launch().
+  EventLoop& loop() { return loop_; }
 
-  /// Phase 1 of startup: accept traffic and queue on_start. Done for every
-  /// loop before any thread launches, so a peer's on_start sends are never
-  /// dropped by a not-yet-running inbox.
-  void prepare() {
-    if (!actor_) throw std::logic_error("actor missing for process");
-    std::scoped_lock lock(mu_);
-    running_ = true;
-    calls_.push_back([this]() { actor_->on_start(*this); });
-  }
-
-  /// Phase 2: spawn the event-loop thread.
   void launch() {
     thread_ = std::thread([this]() { run(); });
   }
 
+  /// Closing the EventLoop drops what is queued, refuses more, and ends
+  /// run() after its current callback.
   void stop() {
-    {
-      std::scoped_lock lock(mu_);
-      if (!running_) {
-        if (thread_.joinable()) thread_.join();
-        return;
-      }
-      running_ = false;
-    }
-    cv_.notify_all();
+    loop_.close();
     if (thread_.joinable()) thread_.join();
   }
 
   void crash() {
-    {
-      std::scoped_lock lock(mu_);
-      crashed_ = true;
-    }
-    cv_.notify_all();
+    crashed_.store(true);
+    loop_.close();
   }
 
-  [[nodiscard]] bool crashed() const {
-    std::scoped_lock lock(mu_);
-    return crashed_;
-  }
-
-  void enqueue_message(Message msg, TimePoint deliver_at) {
-    {
-      std::scoped_lock lock(mu_);
-      if (!running_ || crashed_) return;
-      inbox_.push(MsgEntry{deliver_at, next_seq_++, std::move(msg)});
-    }
-    cv_.notify_all();
-  }
-
-  void enqueue_call(std::function<void()> fn) {
-    {
-      std::scoped_lock lock(mu_);
-      if (!running_ || crashed_) return;
-      calls_.push_back(std::move(fn));
-    }
-    cv_.notify_all();
-  }
+  [[nodiscard]] bool crashed() const { return crashed_.load(); }
 
   // Runtime ------------------------------------------------------------------
   [[nodiscard]] ProcessId id() const override { return id_; }
@@ -96,109 +52,27 @@ class ThreadCluster::ProcessLoop final : public Runtime {
     cluster_.route(id_, dst, type, payload);
   }
 
-  TimerId set_timer(Duration delay) override {
-    std::scoped_lock lock(mu_);
-    TimerId tid = next_timer_++;
-    timers_.push(TimerEntry{now() + (delay < 0 ? 0 : delay), tid});
-    cv_.notify_all();
-    return tid;
-  }
-
-  void cancel_timer(TimerId timer) override {
-    std::scoped_lock lock(mu_);
-    if (timer != kInvalidTimer) cancelled_.insert(timer);
-  }
+  TimerId set_timer(Duration delay) override { return loop_.set_timer(delay); }
+  void cancel_timer(TimerId timer) override { loop_.cancel_timer(timer); }
 
   Rng& rng() override { return rng_; }
 
  private:
-  struct TimerEntry {
-    TimePoint deadline;
-    TimerId id;
-    bool operator>(const TimerEntry& o) const {
-      return deadline > o.deadline || (deadline == o.deadline && id > o.id);
-    }
-  };
-  struct MsgEntry {
-    TimePoint deliver_at;
-    std::uint64_t seq;
-    Message msg;
-    bool operator>(const MsgEntry& o) const {
-      return deliver_at > o.deliver_at ||
-             (deliver_at == o.deliver_at && seq > o.seq);
-    }
-  };
-
   void run() {
-    std::unique_lock lock(mu_);
-    while (running_ && !crashed_) {
-      TimePoint t = now();
-      // Dispatch one due item per iteration (callbacks run unlocked).
-      if (!calls_.empty()) {
-        auto fn = std::move(calls_.front());
-        calls_.pop_front();
-        lock.unlock();
-        fn();
-        lock.lock();
-        continue;
-      }
-      if (!timers_.empty() && timers_.top().deadline <= t) {
-        TimerEntry e = timers_.top();
-        timers_.pop();
-        if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
-          cancelled_.erase(it);
-          continue;
-        }
-        lock.unlock();
-        actor_->on_timer(*this, e.id);
-        lock.lock();
-        continue;
-      }
-      if (!inbox_.empty() && inbox_.top().deliver_at <= t) {
-        Message msg = inbox_.top().msg;
-        inbox_.pop();
-        lock.unlock();
-        {
-          // Debug borrow scope: decoded blob borrows die when the delivery
-          // returns (msg is destroyed on the next loop iteration).
-          borrowcheck::Scope borrow_scope;
-          actor_->on_message(*this, msg.src, msg.type, msg.payload);
-        }
-        lock.lock();
-        continue;
-      }
-      // Sleep until the earliest deadline or a notification.
-      TimePoint next = kTimeNever;
-      if (!timers_.empty()) next = std::min(next, timers_.top().deadline);
-      if (!inbox_.empty()) next = std::min(next, inbox_.top().deliver_at);
-      if (next == kTimeNever) {
-        cv_.wait(lock);
-      } else {
-        cv_.wait_until(lock, to_steady(cluster_.epoch_, next));
-      }
-    }
+    if (loop_.closed()) return;
+    actor_->on_start(*this);
+    do {
+      loop_.run_due(*actor_);
+    } while (loop_.wait());
   }
 
   ThreadCluster& cluster_;
   ProcessId id_;
   Rng rng_;
   std::unique_ptr<Actor> actor_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
+  EventLoop loop_;
+  std::atomic<bool> crashed_{false};
   std::thread thread_;
-  bool running_ = false;
-  bool crashed_ = false;
-
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>,
-                      std::greater<TimerEntry>>
-      timers_;
-  std::priority_queue<MsgEntry, std::vector<MsgEntry>, std::greater<MsgEntry>>
-      inbox_;
-  std::deque<std::function<void()>> calls_;
-  std::unordered_set<TimerId> cancelled_;
-  TimerId next_timer_ = 1;
-  std::uint64_t next_seq_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -236,8 +110,10 @@ void ThreadCluster::set_actor(ProcessId p, std::unique_ptr<Actor> actor) {
 
 void ThreadCluster::start() {
   if (started_) return;
+  for (auto& loop : loops_) {
+    if (!loop->has_actor()) throw std::logic_error("actor missing for process");
+  }
   started_ = true;
-  for (auto& loop : loops_) loop->prepare();
   for (auto& loop : loops_) loop->launch();
 }
 
@@ -250,7 +126,7 @@ void ThreadCluster::crash(ProcessId p) { loops_.at(p)->crash(); }
 bool ThreadCluster::alive(ProcessId p) const { return !loops_.at(p)->crashed(); }
 
 void ThreadCluster::post(ProcessId p, std::function<void()> fn) {
-  loops_.at(p)->enqueue_call(std::move(fn));
+  loops_.at(p)->loop().post(std::move(fn));
 }
 
 TimePoint ThreadCluster::now() const {
@@ -279,12 +155,8 @@ void ThreadCluster::route(ProcessId src, ProcessId dst, MessageType type,
     decision = slot.model->on_send(t, type, slot.rng);
   }
   if (!decision.deliver) return;
-  Message msg;
-  msg.src = src;
-  msg.dst = dst;
-  msg.type = type;
-  msg.payload.assign(payload.begin(), payload.end());
-  loops_[dst]->enqueue_message(std::move(msg), t + decision.delay);
+  loops_[dst]->loop().deliver_at(t + decision.delay, src, type,
+                                 Bytes(payload.begin(), payload.end()));
 }
 
 }  // namespace lls

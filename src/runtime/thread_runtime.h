@@ -4,28 +4,24 @@
 // each process runs its own event loop thread (so actor callbacks stay
 // serialized), and an in-process router applies the very same LinkModel
 // matrix used in simulation — drop and delay decisions included — before
-// handing messages to the destination's inbox. This runs the paper's
+// handing messages to the destination's EventLoop. This runs the paper's
 // algorithms live, with real concurrency and real timers.
 //
-// Concurrency notes (CP.* guidelines): all shared state is guarded by
-// per-process mutexes plus one router mutex; callbacks never run under the
-// router lock; threads are joined in stop()/destructor.
+// Concurrency notes (CP.* guidelines): all shared state is guarded by each
+// process's EventLoop mutex plus one router mutex; callbacks never run under
+// any lock; threads are joined in stop()/destructor.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
-#include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/actor.h"
 #include "net/link.h"
-#include "net/message.h"
 
 namespace lls {
 

@@ -11,7 +11,6 @@
 #include <future>
 #include <stdexcept>
 
-#include "common/blob.h"
 #include "common/serialization.h"
 #include "obs/snapshot.h"
 
@@ -74,14 +73,11 @@ void UdpNode::start() {
     peer.sin_port = htons(static_cast<std::uint16_t>(config_.base_port + dst));
     ::inet_pton(AF_INET, config_.host.c_str(), &peer.sin_addr);
   }
-  recv_bufs_.resize(config_.batch_io ? kRecvBatch : 1);
+  recv_bufs_.resize(kRecvBatch);
   for (Bytes& slab : recv_bufs_) slab.resize(kMaxDatagram);
   sendq_.reserve(kSendBatch);
   running_.store(true);
-  thread_ = std::thread([this]() {
-    actor_->on_start(*this);
-    run();
-  });
+  thread_ = std::thread([this]() { run(); });
 
   if (config_.stats_port != 0) {
     const std::uint16_t port =
@@ -122,10 +118,7 @@ std::uint16_t UdpNode::stats_port() const {
   return stats_server_ != nullptr ? stats_server_->port() : 0;
 }
 
-void UdpNode::post(std::function<void()> fn) {
-  std::scoped_lock lock(mu_);
-  calls_.push_back(std::move(fn));
-}
+void UdpNode::post(std::function<void()> fn) { loop_.post(std::move(fn)); }
 
 void UdpNode::send(ProcessId dst, MessageType type, BytesView payload) {
   if (dst == config_.id || dst >= static_cast<ProcessId>(config_.n)) return;
@@ -140,14 +133,6 @@ void UdpNode::send(ProcessId dst, MessageType type, BytesView payload) {
   }
   datagrams_sent_->inc();
   bytes_sent_->inc(frame.size());
-  if (!config_.batch_io) {
-    // Fire-and-forget: UDP send failures are indistinguishable from link
-    // loss, which the protocols tolerate by design.
-    ::sendto(fd_, out, frame.size(), 0,
-             reinterpret_cast<const sockaddr*>(&peer_addr_[dst]),
-             sizeof(sockaddr_in));
-    return;  // ~PooledBuffer recycles the frame
-  }
   sendq_.push_back(PendingSend{dst, std::move(frame)});
   if (sendq_.size() >= kSendBatch) flush_sends();
 }
@@ -195,58 +180,17 @@ void UdpNode::sync_pool_counters() {
   synced_pool_misses_ = pool_.misses();
 }
 
-TimerId UdpNode::set_timer(Duration delay) {
-  std::scoped_lock lock(mu_);
-  TimerId tid = next_timer_++;
-  timers_.push(TimerEntry{now() + (delay < 0 ? 0 : delay), tid});
-  return tid;
-}
+TimerId UdpNode::set_timer(Duration delay) { return loop_.set_timer(delay); }
 
-void UdpNode::cancel_timer(TimerId timer) {
-  std::scoped_lock lock(mu_);
-  if (timer != kInvalidTimer) cancelled_.insert(timer);
-}
-
-TimePoint UdpNode::next_deadline() {
-  std::scoped_lock lock(mu_);
-  if (!calls_.empty()) return 0;
-  if (timers_.empty()) return kTimeNever;
-  return timers_.top().deadline;
-}
+void UdpNode::cancel_timer(TimerId timer) { loop_.cancel_timer(timer); }
 
 void UdpNode::run() {
-  std::vector<std::byte> buf(kMaxDatagram);
+  actor_->on_start(*this);
   while (running_.load()) {
-    // Fire posted calls and the timers that were due when this pass began.
-    // The cutoff is deliberately a snapshot: a handler that re-arms its
-    // timer as already-due waits for the next pass, so a timer storm can't
-    // pin the loop here — queued frames must reach flush_sends() below and
-    // the socket must be polled for the cluster to make progress (the old
-    // unbatched path sent inline from handlers; this one doesn't).
-    const TimePoint due_cutoff = now();
-    for (;;) {
-      std::function<void()> call;
-      TimerId due = kInvalidTimer;
-      {
-        std::scoped_lock lock(mu_);
-        if (!calls_.empty()) {
-          call = std::move(calls_.front());
-          calls_.erase(calls_.begin());
-        } else if (!timers_.empty() && timers_.top().deadline <= due_cutoff) {
-          due = timers_.top().id;
-          timers_.pop();
-          if (auto it = cancelled_.find(due); it != cancelled_.end()) {
-            cancelled_.erase(it);
-            due = kInvalidTimer;  // swallowed
-            continue;
-          }
-        } else {
-          break;
-        }
-      }
-      if (call) call();
-      if (due != kInvalidTimer) actor_->on_timer(*this, due);
-    }
+    // One due-at-entry pass (runtime/event_loop.h): whatever the handlers
+    // arm or post waits for the next pass, so every pass reaches the flush
+    // and the poll below after bounded work.
+    loop_.run_due(*actor_);
 
     // Everything queued by the callbacks above leaves in one batch before
     // the loop blocks; nothing sits in the queue across a poll().
@@ -254,7 +198,7 @@ void UdpNode::run() {
 
     // Wait for a datagram, bounded by the next deadline (cap 10ms so posted
     // calls are picked up promptly).
-    TimePoint next = next_deadline();
+    const TimePoint next = loop_.next_deadline();
     int timeout_ms = 10;
     if (next != kTimeNever) {
       auto until = (next - now()) / kMillisecond;
@@ -276,37 +220,33 @@ void UdpNode::deliver_frame(const std::byte* data, std::size_t len) {
   std::memcpy(&type, data + sizeof(src), sizeof(type));
   if (src >= static_cast<std::uint32_t>(config_.n)) return;
   datagrams_received_->inc();
-  // Debug borrow scope: blob fields decoded out of this receive slab die
-  // when the delivery returns — the slab is overwritten by the next drain.
-  borrowcheck::Scope borrow_scope;
-  actor_->on_message(*this, static_cast<ProcessId>(src), type,
-                     BytesView(data + kHeaderSize, len - kHeaderSize));
+  // Borrow-scoped: the receive slab is overwritten by the next drain.
+  loop_.deliver(*actor_, static_cast<ProcessId>(src), type,
+                BytesView(data + kHeaderSize, len - kHeaderSize));
 }
 
 void UdpNode::drain_socket() {
 #if defined(__linux__)
-  if (config_.batch_io) {
-    for (;;) {
-      mmsghdr msgs[kRecvBatch];
-      iovec iov[kRecvBatch];
-      std::memset(msgs, 0, sizeof(msgs));
-      for (std::size_t i = 0; i < kRecvBatch; ++i) {
-        iov[i].iov_base = recv_bufs_[i].data();
-        iov[i].iov_len = recv_bufs_[i].size();
-        msgs[i].msg_hdr.msg_iov = &iov[i];
-        msgs[i].msg_hdr.msg_iovlen = 1;
-      }
-      int got = ::recvmmsg(fd_, msgs, kRecvBatch, MSG_DONTWAIT, nullptr);
-      if (got <= 0) return;
-      recvmmsg_calls_->inc();
-      for (int i = 0; i < got; ++i) {
-        deliver_frame(recv_bufs_[static_cast<std::size_t>(i)].data(),
-                      msgs[i].msg_len);
-      }
-      if (got < static_cast<int>(kRecvBatch)) return;  // socket drained
+  for (;;) {
+    mmsghdr msgs[kRecvBatch];
+    iovec iov[kRecvBatch];
+    std::memset(msgs, 0, sizeof(msgs));
+    for (std::size_t i = 0; i < kRecvBatch; ++i) {
+      iov[i].iov_base = recv_bufs_[i].data();
+      iov[i].iov_len = recv_bufs_[i].size();
+      msgs[i].msg_hdr.msg_iov = &iov[i];
+      msgs[i].msg_hdr.msg_iovlen = 1;
     }
+    int got = ::recvmmsg(fd_, msgs, kRecvBatch, MSG_DONTWAIT, nullptr);
+    if (got <= 0) return;
+    recvmmsg_calls_->inc();
+    for (int i = 0; i < got; ++i) {
+      deliver_frame(recv_bufs_[static_cast<std::size_t>(i)].data(),
+                    msgs[i].msg_len);
+    }
+    if (got < static_cast<int>(kRecvBatch)) return;  // socket drained
   }
-#endif
+#else
   Bytes& buf = recv_bufs_.front();
   for (;;) {
     ssize_t got = ::recvfrom(fd_, buf.data(), buf.size(), MSG_DONTWAIT,
@@ -314,6 +254,7 @@ void UdpNode::drain_socket() {
     if (got < 0) return;  // drained
     deliver_frame(buf.data(), static_cast<std::size_t>(got));
   }
+#endif
 }
 
 }  // namespace lls

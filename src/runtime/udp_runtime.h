@@ -8,11 +8,11 @@
 //
 // Datagram format: [src: u32][type: u16][payload bytes].
 //
-// Batched data plane (batch_io, default on): outbound frames are drawn
-// from the node's BufferPool and coalesced into a send queue flushed with
-// one sendmmsg(2) per 64 datagrams; inbound traffic is drained with
-// recvmmsg(2) into persistent receive slabs. On non-Linux platforms the
-// same queueing logic degrades to sendto/recvfrom loops.
+// Batched data plane: outbound frames are drawn from the node's BufferPool
+// and coalesced into a send queue flushed with one sendmmsg(2) per 64
+// datagrams; inbound traffic is drained with recvmmsg(2) into persistent
+// receive slabs (sendto/recvfrom loops off Linux). Timers and posted calls
+// run on the shared EventLoop.
 #pragma once
 
 #include <netinet/in.h>
@@ -21,15 +21,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <queue>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/actor.h"
 #include "common/buffer_pool.h"
+#include "runtime/event_loop.h"
 #include "runtime/stats_http.h"
 
 namespace lls {
@@ -44,10 +42,6 @@ struct UdpNodeConfig {
   /// text, `/metrics.json` bench JSON). 0 disables the server; kAnyPort
   /// binds an ephemeral port, read back with stats_port().
   std::uint16_t stats_port = 0;
-  /// Coalesce outbound datagrams into sendmmsg(2) batches and drain the
-  /// socket with recvmmsg(2). Frames are pooled either way; disabling only
-  /// reverts to one syscall per datagram (for A/B measurement).
-  bool batch_io = true;
 };
 
 /// UdpNodeConfig::stats_port value requesting an OS-assigned port.
@@ -93,14 +87,6 @@ class UdpNode final : public Runtime {
   [[nodiscard]] BufferPool& pool() override { return pool_; }
 
  private:
-  struct TimerEntry {
-    TimePoint deadline;
-    TimerId id;
-    bool operator>(const TimerEntry& o) const {
-      return deadline > o.deadline || (deadline == o.deadline && id > o.id);
-    }
-  };
-
   /// One queued outbound datagram: destination + pooled wire frame.
   struct PendingSend {
     ProcessId dst = kNoProcess;
@@ -112,7 +98,6 @@ class UdpNode final : public Runtime {
   void flush_sends();
   void deliver_frame(const std::byte* data, std::size_t len);
   void sync_pool_counters();
-  [[nodiscard]] TimePoint next_deadline();
 
   UdpNodeConfig config_;
   std::unique_ptr<Actor> actor_;
@@ -139,17 +124,10 @@ class UdpNode final : public Runtime {
   std::uint64_t synced_pool_hits_ = 0;
   std::uint64_t synced_pool_misses_ = 0;
 
+  EventLoop loop_{*this};
   int fd_ = -1;
-  std::thread thread_;
   std::atomic<bool> running_{false};
-
-  std::mutex mu_;  // guards timers_, cancelled_, calls_
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>,
-                      std::greater<TimerEntry>>
-      timers_;
-  std::unordered_set<TimerId> cancelled_;
-  std::vector<std::function<void()>> calls_;
-  TimerId next_timer_ = 1;
+  std::thread thread_;  // last: the loop thread uses everything above
 };
 
 }  // namespace lls

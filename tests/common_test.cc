@@ -10,6 +10,8 @@
 #include "common/rng.h"
 #include "common/serialization.h"
 #include "common/types.h"
+#include "obs/histogram.h"
+#include "obs/registry.h"
 
 namespace lls {
 namespace {
@@ -137,12 +139,13 @@ TEST(Metrics, TimeSeriesBucketsAndRangeSum) {
 }
 
 TEST(Metrics, SummaryStatistics) {
-  Summary s;
+  obs::Histogram s;
   for (int i = 1; i <= 100; ++i) s.record(i);
   EXPECT_EQ(s.count(), 100u);
-  // Count, mean, extremes and stddev are tracked exactly; percentiles come
-  // from the streaming log-bucketed histogram, within ~3.2% relative error
-  // (exact at p=0 and p=100, which read the tracked min/max).
+  // Count, mean, extremes and stddev (population convention) are tracked
+  // exactly; percentiles come from the streaming log-bucketed histogram,
+  // within ~3.2% relative error (exact at p=0 and p=100, which read the
+  // tracked min/max).
   EXPECT_DOUBLE_EQ(s.mean(), 50.5);
   EXPECT_DOUBLE_EQ(s.min(), 1);
   EXPECT_DOUBLE_EQ(s.max(), 100);
@@ -150,7 +153,7 @@ TEST(Metrics, SummaryStatistics) {
   EXPECT_NEAR(s.percentile(99), 99, 99 * 0.05);
   EXPECT_DOUBLE_EQ(s.percentile(0), 1);
   EXPECT_DOUBLE_EQ(s.percentile(100), 100);
-  EXPECT_NEAR(s.stddev(), 29.0115, 0.001);
+  EXPECT_NEAR(s.stddev(), 28.8661, 0.001);
 }
 
 TEST(Metrics, RegistryReturnsStableReferences) {

@@ -33,8 +33,8 @@
 #include "bench_util.h"
 #include "client/cluster_client.h"
 #include "client/loadgen.h"
-#include "common/metrics.h"
 #include "flags.h"
+#include "obs/histogram.h"
 #include "rsm/history.h"
 #include "rsm/replica.h"
 #include "runtime/udp_runtime.h"
@@ -49,7 +49,6 @@ struct CliOptions {
   LoadgenConfig load;
   std::vector<std::size_t> batches{1};
   bool udp = false;
-  bool batch_io = true;  ///< UDP mode: sendmmsg/recvmmsg coalescing
   std::vector<int> shard_sweep;  ///< UDP mode: run once per shard count
   std::uint16_t udp_base_port = 47400;
   std::uint16_t stats_port = 0;  ///< UDP mode: replica 0's scrape port
@@ -90,8 +89,6 @@ void usage(const char* argv0) {
       "  --seed=S\n"
       "  --out=PATH                 write results as JSON (--json= alias)\n"
       "  --udp [--udp-base-port=P]  run over UDP sockets instead of the sim\n"
-      "  --no-batch-io              UDP mode: one syscall per datagram\n"
-      "                             (disables sendmmsg/recvmmsg coalescing)\n"
       "  --shard-sweep=1,2,4        UDP mode: run the workload once per\n"
       "                             shard count (throughput scaling sweep)\n"
       "  --stats-port=P             UDP mode: replica 0 serves /metrics on P\n",
@@ -166,7 +163,6 @@ bool parse_args(int argc, char** argv, CliOptions* opt) {
   opt->load.seed = flags.u64("seed", opt->load.seed);
   opt->json_path = flags.out();
   opt->udp = flags.flag("udp");
-  opt->batch_io = !flags.flag("no-batch-io");
   for (std::uint64_t m : flags.u64_list("shard-sweep", {})) {
     opt->shard_sweep.push_back(static_cast<int>(m));
   }
@@ -428,10 +424,8 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
                          std::uint16_t base_port) {
   const int cluster_n = opt.load.cluster_n;
   const int n = cluster_n + opt.load.clients;
-  std::printf("lls_loadgen (udp): n=%d clients=%d shards=%d base_port=%u "
-              "batch_io=%s\n\n",
-              cluster_n, opt.load.clients, shards, base_port,
-              opt.batch_io ? "on" : "off");
+  std::printf("lls_loadgen (udp): n=%d clients=%d shards=%d base_port=%u\n\n",
+              cluster_n, opt.load.clients, shards, base_port);
 
   std::vector<std::unique_ptr<UdpNode>> nodes;
   for (ProcessId p = 0; p < static_cast<ProcessId>(cluster_n); ++p) {
@@ -452,7 +446,6 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
     nc.n = n;
     nc.base_port = base_port;
     nc.seed = opt.load.seed + p;
-    nc.batch_io = opt.batch_io;
     if (p == 0) nc.stats_port = opt.stats_port;
     CeOmegaConfig oc;
     oc.lease_duration = opt.load.lease_reads ? opt.load.lease_duration : 0;
@@ -481,7 +474,6 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
     nc.n = n;
     nc.base_port = base_port;
     nc.seed = opt.load.seed + 1000 + static_cast<std::uint64_t>(c);
-    nc.batch_io = opt.batch_io;
     nodes.push_back(std::make_unique<UdpNode>(
         nc, std::make_unique<ClusterClient>(cc)));
   }
@@ -576,7 +568,7 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
 
   // Threads are joined: pooling the per-client sample arrays is safe now.
   std::uint64_t acked = 0, timed_out = 0, retries = 0, redirects = 0;
-  Summary all_ms, read_summary, write_summary;
+  obs::Histogram all_ms, read_summary, write_summary;
   for (auto& st : drivers) {
     acked += st.client->acked();
     timed_out += st.client->timed_out();
@@ -714,7 +706,6 @@ int run_udp(const CliOptions& opt) {
     json.key("write_ratio").value(opt.load.write_ratio);
     json.key("value_size").value(opt.load.value_size);
     json.key("duration_ms").value(opt.load.duration / kMillisecond);
-    json.key("batch_io").value(opt.batch_io);
     json.key("max_batch").value(opt.batches.front());
     json.key("seed").value(opt.load.seed);
     json.end_object();
