@@ -17,7 +17,7 @@
 #include "bench_util.h"
 #include "client/cluster_client.h"
 #include "net/topology.h"
-#include "rsm/replica.h"
+#include "shard/sharded_replica.h"
 #include "sim/simulator.h"
 
 using namespace lls;
@@ -39,12 +39,12 @@ Outcome run(std::size_t batch_size, int commands) {
   Simulator sim(config, make_all_timely({500, 2 * kMillisecond}));
   KvReplicaConfig rc;
   rc.max_batch = batch_size;
-  std::vector<KvReplica*> replicas;
+  std::vector<ShardedKvReplica*> replicas;
   for (ProcessId p = 0; p < 5; ++p) {
-    replicas.push_back(&sim.emplace_actor<KvReplica>(
-        p, KvReplica::Options{.omega = CeOmegaConfig{},
-                              .consensus = LogConsensusConfig{},
-                              .replica = rc}));
+    replicas.push_back(&sim.emplace_actor<ShardedKvReplica>(
+        p, ShardedKvReplica::Options{.omega = CeOmegaConfig{},
+                                     .consensus = LogConsensusConfig{},
+                                     .sharded = {.shards = 1, .replica = rc}}));
   }
   // One burst at t = 2s (after election settles), all at replica 1.
   sim.schedule(2 * kSecond, [&]() {
@@ -61,7 +61,8 @@ Outcome run(std::size_t batch_size, int commands) {
     sim.run_for(10 * kMillisecond);
     bool all = true;
     for (auto* r : replicas) {
-      all = all && r->store().applied() == static_cast<std::uint64_t>(commands);
+      all = all && r->group(0).store().applied() ==
+                       static_cast<std::uint64_t>(commands);
     }
     if (all) {
       done_at = sim.now();
@@ -69,7 +70,7 @@ Outcome run(std::size_t batch_size, int commands) {
     }
   }
   out.converged = done_at != 0;
-  out.instances_used = replicas[0]->consensus().first_unknown();
+  out.instances_used = replicas[0]->group(0).consensus().first_unknown();
   out.completion_ms =
       static_cast<double>(done_at - 2 * kSecond) / kMillisecond;
   std::uint64_t consensus_msgs = sim.network().stats().sent_by_class(
@@ -101,12 +102,12 @@ ClientOutcome run_client_burst(bool coalesce, int commands) {
   Simulator sim(config, make_all_timely({500, 2 * kMillisecond}));
   KvReplicaConfig rc;
   rc.cluster_n = 5;
-  std::vector<KvReplica*> replicas;
+  std::vector<ShardedKvReplica*> replicas;
   for (ProcessId p = 0; p < 5; ++p) {
-    replicas.push_back(&sim.emplace_actor<KvReplica>(
-        p, KvReplica::Options{.omega = CeOmegaConfig{},
-                              .consensus = LogConsensusConfig{},
-                              .replica = rc}));
+    replicas.push_back(&sim.emplace_actor<ShardedKvReplica>(
+        p, ShardedKvReplica::Options{.omega = CeOmegaConfig{},
+                                     .consensus = LogConsensusConfig{},
+                                     .sharded = {.shards = 1, .replica = rc}}));
   }
   ClusterClientConfig cc;
   cc.cluster_n = 5;
@@ -127,7 +128,7 @@ ClientOutcome run_client_burst(bool coalesce, int commands) {
   out.acked = client.acked();
   out.batches = client.batches_sent();
   out.batched_requests = client.batched_requests();
-  out.instances_used = replicas[0]->consensus().first_unknown();
+  out.instances_used = replicas[0]->group(0).consensus().first_unknown();
   out.client_msgs = sim.network().stats().sent_by_class(
       NetStats::type_class(msg_type::kRsmBase));
   out.consensus_msgs = sim.network().stats().sent_by_class(

@@ -11,7 +11,7 @@
 #include <thread>
 
 #include "net/topology.h"
-#include "rsm/replica.h"
+#include "shard/sharded_replica.h"
 #include "runtime/thread_runtime.h"
 
 using namespace lls;
@@ -31,8 +31,9 @@ LogConsensusConfig log_config() {
   return c;
 }
 
-void submit_and_wait(ThreadCluster& cluster, KvReplica& replica, ProcessId at,
-                     KvOp op, const std::string& key, const std::string& value) {
+void submit_and_wait(ThreadCluster& cluster, ShardedKvReplica& replica,
+                     ProcessId at, KvOp op, const std::string& key,
+                     const std::string& value) {
   std::atomic<bool> done{false};
   std::string result;
   cluster.post(at, [&]() {
@@ -57,11 +58,12 @@ int main() {
   constexpr int kN = 5;
   ThreadCluster cluster({kN, /*seed=*/7},
                         make_all_timely({200, 1 * kMillisecond}));
-  std::vector<KvReplica*> replicas;
+  std::vector<ShardedKvReplica*> replicas;
   for (ProcessId p = 0; p < kN; ++p) {
-    replicas.push_back(&cluster.emplace_actor<KvReplica>(
-        p, KvReplica::Options{.omega = omega_config(),
-                              .consensus = log_config()}));
+    replicas.push_back(&cluster.emplace_actor<ShardedKvReplica>(
+        p, ShardedKvReplica::Options{.omega = omega_config(),
+                                     .consensus = log_config(),
+                                     .sharded = ShardedReplicaConfig{}}));
   }
   cluster.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -84,7 +86,7 @@ int main() {
   std::atomic<int> done{0};
   for (ProcessId p = 1; p < kN; ++p) {
     cluster.post(p, [&, p]() {
-      digests[p] = replicas[p]->store().digest();
+      digests[p] = replicas[p]->group(0).store().digest();
       applied[p] = replicas[p]->applied_count();
       done.fetch_add(1);
     });

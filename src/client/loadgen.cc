@@ -14,7 +14,6 @@
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "rsm/history.h"
-#include "rsm/replica.h"
 #include "shard/sharded_replica.h"
 #include "sim/simulator.h"
 
@@ -70,30 +69,15 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
   CeOmegaConfig oc;
   // The omega hint is advisory fast invalidation; 0 (leases off) disables it.
   oc.lease_duration = config.lease_reads ? config.lease_duration : 0;
-  // shards == 0: legacy unsharded stack; >= 1: the sharded container (1 is
-  // the degenerate single-group container, the M=1 baseline of C5).
-  const bool sharded = config.shards > 0;
-  const int shard_count = sharded ? config.shards : 1;
-  std::vector<KvReplica*> replicas;
-  std::vector<ShardedKvReplica*> containers;
+  ShardedReplicaConfig sc;
+  sc.shards = config.shards;
+  sc.replica = rc;
+  std::vector<ShardedKvReplica*> replicas;
   for (ProcessId p = 0; p < static_cast<ProcessId>(config.cluster_n); ++p) {
-    if (sharded) {
-      ShardedReplicaConfig sc;
-      sc.shards = config.shards;
-      sc.replica = rc;
-      containers.push_back(&sim.emplace_actor<ShardedKvReplica>(
-          p, ShardedKvReplica::Options{
-                 .omega = oc, .consensus = lc, .sharded = sc}));
-    } else {
-      replicas.push_back(&sim.emplace_actor<KvReplica>(
-          p, KvReplica::Options{
-                 .omega = oc, .consensus = lc, .replica = rc}));
-    }
+    replicas.push_back(&sim.emplace_actor<ShardedKvReplica>(
+        p, ShardedKvReplica::Options{
+               .omega = oc, .consensus = lc, .sharded = sc}));
   }
-  auto leader_view = [&](ProcessId p) {
-    return sharded ? containers[p]->omega().leader()
-                   : replicas[p]->omega().leader();
-  };
 
   ClusterClientConfig cc;
   cc.cluster_n = config.cluster_n;
@@ -102,7 +86,7 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
                   : static_cast<std::size_t>(config.closed_outstanding);
   cc.attempt_timeout = config.attempt_timeout;
   cc.request_deadline = config.request_deadline;
-  cc.shards = shard_count;
+  cc.shards = config.shards;
   cc.coalesce = config.coalesce;
   cc.lease_reads = config.lease_reads;
   std::vector<ClusterClient*> clients;
@@ -125,19 +109,17 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
       sim.plane().registry().histogram("client_read_latency_ms");
   obs::Histogram& write_latency_ms =
       sim.plane().registry().histogram("client_write_latency_ms");
-  // Per-shard breakdown (sharded runs only): measured ops and latency per
-  // key-hash partition, classified client-side with the same ShardMap the
-  // cluster uses.
+  // Per-shard breakdown: measured ops and latency per key-hash partition,
+  // classified client-side with the same ShardMap the cluster uses.
+  const int shard_count = config.shards;
   const ShardMap route_map(shard_count);
   std::vector<std::uint64_t> shard_acked(
       static_cast<std::size_t>(shard_count), 0);
   std::vector<obs::Histogram*> shard_latency;
-  if (sharded) {
-    shard_latency.reserve(static_cast<std::size_t>(shard_count));
-    for (int g = 0; g < shard_count; ++g) {
-      shard_latency.push_back(&sim.plane().registry().histogram(
-          "client_latency_ms_shard" + std::to_string(g)));
-    }
+  shard_latency.reserve(static_cast<std::size_t>(shard_count));
+  for (int g = 0; g < shard_count; ++g) {
+    shard_latency.push_back(&sim.plane().registry().histogram(
+        "client_latency_ms_shard" + std::to_string(g)));
   }
   obs::ElectionSpanTracker election_spans(sim.plane(), config.cluster_n);
   std::unique_ptr<obs::RingTracer> tracer;
@@ -207,11 +189,9 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
             ++measured_writes;
             write_latency_ms.record(ms);
           }
-          if (sharded) {
-            ShardId g = route_map.shard_of(done.cmd.key);
-            ++shard_acked[g];
-            shard_latency[g]->record(ms);
-          }
+          const ShardId g = route_map.shard_of(done.cmd.key);
+          ++shard_acked[g];
+          shard_latency[g]->record(ms);
         }
         if (!token.empty()) acked_tokens.push_back(token);
       }
@@ -263,7 +243,7 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
       for (ProcessId p = 0; p < static_cast<ProcessId>(config.cluster_n);
            ++p) {
         if (!sim.alive(p)) continue;
-        ProcessId leader = leader_view(p);
+        ProcessId leader = replicas[p]->omega().leader();
         if (leader != kNoProcess &&
             leader < static_cast<ProcessId>(config.cluster_n) &&
             sim.alive(leader)) {
@@ -334,22 +314,20 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
   };
   fill_op(result.reads, read_latency_ms, measured_reads);
   fill_op(result.writes, write_latency_ms, measured_writes);
-  if (sharded) {
-    result.shard_stats.resize(static_cast<std::size_t>(shard_count));
-    std::uint64_t max_ops = 0;
-    for (int g = 0; g < shard_count; ++g) {
-      auto& s = result.shard_stats[static_cast<std::size_t>(g)];
-      s.acked = shard_acked[static_cast<std::size_t>(g)];
-      s.throughput = window_s > 0 ? static_cast<double>(s.acked) / window_s : 0;
-      s.p50_ms = shard_latency[static_cast<std::size_t>(g)]->percentile(50);
-      s.p99_ms = shard_latency[static_cast<std::size_t>(g)]->percentile(99);
-      max_ops = std::max(max_ops, s.acked);
-    }
-    if (measured_acked > 0) {
-      const double mean_ops = static_cast<double>(measured_acked) /
-                              static_cast<double>(shard_count);
-      result.shard_imbalance = static_cast<double>(max_ops) / mean_ops;
-    }
+  result.shard_stats.resize(static_cast<std::size_t>(shard_count));
+  std::uint64_t max_ops = 0;
+  for (int g = 0; g < shard_count; ++g) {
+    auto& s = result.shard_stats[static_cast<std::size_t>(g)];
+    s.acked = shard_acked[static_cast<std::size_t>(g)];
+    s.throughput = window_s > 0 ? static_cast<double>(s.acked) / window_s : 0;
+    s.p50_ms = shard_latency[static_cast<std::size_t>(g)]->percentile(50);
+    s.p99_ms = shard_latency[static_cast<std::size_t>(g)]->percentile(99);
+    max_ops = std::max(max_ops, s.acked);
+  }
+  if (measured_acked > 0) {
+    const double mean_ops = static_cast<double>(measured_acked) /
+                            static_cast<double>(shard_count);
+    result.shard_imbalance = static_cast<double>(max_ops) / mean_ops;
   }
 
   const NetStats& stats = *NetStats::from(sim.plane().registry());
@@ -373,30 +351,18 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
   std::vector<Instance> group_decided(static_cast<std::size_t>(shard_count), 0);
   for (ProcessId p = 0; p < static_cast<ProcessId>(config.cluster_n); ++p) {
     if (!sim.alive(p)) continue;
-    if (sharded) {
-      result.duplicates_suppressed += containers[p]->duplicates_suppressed();
-      result.cached_replies += containers[p]->cached_replies_sent();
-      result.busy_sent += containers[p]->busy_sent();
-      result.envelopes_rejected += containers[p]->envelopes_rejected();
-      result.reads_local += containers[p]->reads_local();
-      result.reads_ordered += containers[p]->reads_ordered();
-      for (int g = 0; g < shard_count; ++g) {
-        const LogConsensus& cons = containers[p]->group(g).consensus();
-        result.dup_proposals_suppressed += cons.dup_proposals_suppressed();
-        group_decided[static_cast<std::size_t>(g)] =
-            std::max(group_decided[static_cast<std::size_t>(g)],
-                     cons.first_unknown());
-      }
-    } else {
-      result.duplicates_suppressed += replicas[p]->duplicates_suppressed();
-      result.reads_local += replicas[p]->reads_local();
-      result.reads_ordered += replicas[p]->reads_ordered();
-      result.dup_proposals_suppressed +=
-          replicas[p]->consensus().dup_proposals_suppressed();
-      result.cached_replies += replicas[p]->cached_replies_sent();
-      result.busy_sent += replicas[p]->busy_sent();
-      group_decided[0] =
-          std::max(group_decided[0], replicas[p]->consensus().first_unknown());
+    const ShardedKvReplica& r = *replicas[p];
+    result.duplicates_suppressed += r.duplicates_suppressed();
+    result.cached_replies += r.cached_replies_sent();
+    result.busy_sent += r.busy_sent();
+    result.envelopes_rejected += r.envelopes_rejected();
+    result.reads_local += r.reads_local();
+    result.reads_ordered += r.reads_ordered();
+    for (int g = 0; g < shard_count; ++g) {
+      const LogConsensus& cons = r.group(g).consensus();
+      result.dup_proposals_suppressed += cons.dup_proposals_suppressed();
+      group_decided[static_cast<std::size_t>(g)] = std::max(
+          group_decided[static_cast<std::size_t>(g)], cons.first_unknown());
     }
   }
   for (Instance d : group_decided) result.consensus_decisions += d;
@@ -442,12 +408,8 @@ LoadgenResult run_sim_loadgen(const LoadgenConfig& config) {
     for (ProcessId p = 0; p < static_cast<ProcessId>(config.cluster_n); ++p) {
       if (!sim.alive(p)) continue;
       std::vector<const KvStore*> stores;
-      if (sharded) {
-        for (int g = 0; g < shard_count; ++g) {
-          stores.push_back(&containers[p]->group(g).store());
-        }
-      } else {
-        stores.push_back(&replicas[p]->store());
+      for (int g = 0; g < shard_count; ++g) {
+        stores.push_back(&replicas[p]->group(g).store());
       }
       for (int g = 0; g < shard_count; ++g) {
         const std::uint64_t digest =

@@ -46,13 +46,12 @@ struct LoadgenConfig {
   Duration batch_flush_delay = 2 * kMillisecond;
   std::size_t admit_high_water = 1024;
 
-  /// Sharding: number of consensus groups per replica process. 0 = the
-  /// legacy unsharded stack (one KvReplica per process); M >= 1 hosts M
-  /// groups behind one shared Omega (shard/BasicShardedReplica) with
-  /// shard-aware clients. Note 0 and 1 differ only in plumbing (1 runs the
-  /// container with a single group), which makes M=1 vs M=4 an
+  /// Sharding: number of consensus groups per replica process (M >= 1).
+  /// Every replica is a shard/BasicShardedReplica: M groups behind one
+  /// shared Omega, with shard-aware clients. M = 1 is the unsharded replica
+  /// (group 0 travels without an envelope), so M=1 vs M=4 is an
   /// apples-to-apples scaling comparison.
-  int shards = 0;
+  int shards = 1;
 
   /// Per-group proposer pipelining window (LogConsensusConfig::max_inflight);
   /// 0 = unbounded. A finite window makes per-group throughput
@@ -162,9 +161,8 @@ struct LoadgenResult {
   std::uint64_t consensus_decisions = 0;
   double consensus_msgs_per_decision = 0;
 
-  /// Per-shard breakdown over the measured window (size = shard count when
-  /// LoadgenConfig::shards >= 1, else empty). Zipf-skewed keyspaces show up
-  /// here as hot shards.
+  /// Per-shard breakdown over the measured window (size = shard count).
+  /// Zipf-skewed keyspaces show up here as hot shards.
   struct ShardStats {
     std::uint64_t acked = 0;
     double throughput = 0;
@@ -172,7 +170,7 @@ struct LoadgenResult {
   };
   std::vector<ShardStats> shard_stats;
   /// Hot-shard metric: max/mean measured ops per shard (1.0 = balanced,
-  /// 0 when nothing completed or unsharded).
+  /// 0 when nothing completed).
   double shard_imbalance = 0;
   /// Group envelopes rejected by replicas (bad shard id / inner type).
   std::uint64_t envelopes_rejected = 0;

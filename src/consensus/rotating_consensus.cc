@@ -4,81 +4,6 @@
 
 namespace lls {
 
-// --- codecs ----------------------------------------------------------------
-
-Bytes RotatingConsensus::EstimateMsg::encode() const {
-  Bytes out(sizeof(instance) + sizeof(round) + sizeof(ts) + 4 + value.size());
-  FlatWriter w(out);
-  w.put(instance);
-  w.put(round);
-  w.put(ts);
-  w.put_bytes(value);
-  return out;
-}
-
-RotatingConsensus::EstimateMsg RotatingConsensus::EstimateMsg::decode(
-    BytesView payload) {
-  BufReader r(payload);
-  EstimateMsg m;
-  m.instance = r.get<Instance>();
-  m.round = r.get<Round>();
-  m.ts = r.get<Round>();
-  m.value = r.get_bytes();
-  return m;
-}
-
-Bytes RotatingConsensus::ProposalMsg::encode() const {
-  Bytes out(sizeof(instance) + sizeof(round) + 4 + value.size());
-  FlatWriter w(out);
-  w.put(instance);
-  w.put(round);
-  w.put_bytes(value);
-  return out;
-}
-
-RotatingConsensus::ProposalMsg RotatingConsensus::ProposalMsg::decode(
-    BytesView payload) {
-  BufReader r(payload);
-  ProposalMsg m;
-  m.instance = r.get<Instance>();
-  m.round = r.get<Round>();
-  m.value = r.get_bytes();
-  return m;
-}
-
-Bytes RotatingConsensus::AckMsg::encode() const {
-  Bytes out(sizeof(instance) + sizeof(round));
-  FlatWriter w(out);
-  w.put(instance);
-  w.put(round);
-  return out;
-}
-
-RotatingConsensus::AckMsg RotatingConsensus::AckMsg::decode(BytesView payload) {
-  BufReader r(payload);
-  AckMsg m;
-  m.instance = r.get<Instance>();
-  m.round = r.get<Round>();
-  return m;
-}
-
-Bytes RotatingConsensus::DecideMsg::encode() const {
-  Bytes out(sizeof(instance) + 4 + value.size());
-  FlatWriter w(out);
-  w.put(instance);
-  w.put_bytes(value);
-  return out;
-}
-
-RotatingConsensus::DecideMsg RotatingConsensus::DecideMsg::decode(
-    BytesView payload) {
-  BufReader r(payload);
-  DecideMsg m;
-  m.instance = r.get<Instance>();
-  m.value = r.get_bytes();
-  return m;
-}
-
 // --- actor -------------------------------------------------------------------
 
 void RotatingConsensus::on_start(Runtime& rt) {

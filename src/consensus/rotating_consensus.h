@@ -18,7 +18,7 @@
 #include <set>
 #include <vector>
 
-#include "common/serialization.h"
+#include "net/wire.h"
 #include "consensus/consensus.h"
 
 namespace lls {
@@ -34,6 +34,35 @@ struct RotatingConsensusConfig {
 
 class RotatingConsensus final : public ConsensusActor {
  public:
+  // Wire messages -----------------------------------------------------------
+  struct EstimateMsg {
+    Instance instance = 0;
+    Round round = 0;
+    Round ts = kNoRound;
+    Bytes value;
+
+    LLS_WIRE_FIELDS(EstimateMsg, instance, round, ts, value)
+  };
+  struct ProposalMsg {
+    Instance instance = 0;
+    Round round = 0;
+    Bytes value;
+
+    LLS_WIRE_FIELDS(ProposalMsg, instance, round, value)
+  };
+  struct AckMsg {
+    Instance instance = 0;
+    Round round = 0;
+
+    LLS_WIRE_FIELDS(AckMsg, instance, round)
+  };
+  struct DecideMsg {
+    Instance instance = 0;
+    Bytes value;
+
+    LLS_WIRE_FIELDS(DecideMsg, instance, value)
+  };
+
   explicit RotatingConsensus(RotatingConsensusConfig config)
       : config_(config) {}
 
@@ -74,34 +103,6 @@ class RotatingConsensus final : public ConsensusActor {
     bool have_best = false;
     bool proposal_sent = false;
     std::set<ProcessId> acks;
-  };
-
-  struct EstimateMsg {
-    Instance instance = 0;
-    Round round = 0;
-    Round ts = kNoRound;
-    Bytes value;
-    [[nodiscard]] Bytes encode() const;
-    static EstimateMsg decode(BytesView payload);
-  };
-  struct ProposalMsg {
-    Instance instance = 0;
-    Round round = 0;
-    Bytes value;
-    [[nodiscard]] Bytes encode() const;
-    static ProposalMsg decode(BytesView payload);
-  };
-  struct AckMsg {
-    Instance instance = 0;
-    Round round = 0;
-    [[nodiscard]] Bytes encode() const;
-    static AckMsg decode(BytesView payload);
-  };
-  struct DecideMsg {
-    Instance instance = 0;
-    Bytes value;
-    [[nodiscard]] Bytes encode() const;
-    static DecideMsg decode(BytesView payload);
   };
 
   [[nodiscard]] ProcessId coordinator(Round r) const {

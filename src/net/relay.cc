@@ -10,17 +10,17 @@ void RelayActor::originate(Runtime& rt, ProcessId dst, MessageType type,
   e.seq = next_seq_++;
   e.dst = dst;
   e.inner_type = type;
-  e.payload.assign(payload.begin(), payload.end());
+  e.payload = WireBlob::ref(payload);
   seen_[self_].insert(e.seq);  // never re-deliver our own message
   flood(rt, e, /*skip_hop=*/self_);
 }
 
 void RelayActor::flood(Runtime& rt, const Envelope& envelope,
                        ProcessId skip_hop) {
-  Bytes encoded = envelope.encode();
+  const auto frame = wire::encode_pooled(rt.pool(), envelope);
   for (ProcessId q = 0; q < static_cast<ProcessId>(rt.n()); ++q) {
     if (q == self_ || q == envelope.origin || q == skip_hop) continue;
-    rt.send(q, msg_type::kRelayEnvelope, encoded);
+    rt.send(q, msg_type::kRelayEnvelope, frame.view());
   }
 }
 
@@ -39,7 +39,7 @@ void RelayActor::on_message(Runtime& rt, ProcessId src, MessageType type,
     flood(rt, e, /*skip_hop=*/src);
     return;
   }
-  inner_.on_message(*wrapper_, e.origin, e.inner_type, e.payload);
+  inner_.on_message(*wrapper_, e.origin, e.inner_type, e.payload.view());
 }
 
 }  // namespace lls

@@ -21,7 +21,7 @@
 #include <unordered_set>
 
 #include "common/actor.h"
-#include "common/serialization.h"
+#include "net/wire.h"
 
 namespace lls {
 
@@ -32,6 +32,18 @@ inline constexpr MessageType kRelayEnvelope = 0x0401;
 
 class RelayActor final : public Actor {
  public:
+  /// RELAY(origin, seq, final dst, inner message). Decoding borrows the
+  /// payload from the received frame.
+  struct Envelope {
+    ProcessId origin = kNoProcess;
+    std::uint64_t seq = 0;
+    ProcessId dst = kNoProcess;
+    MessageType inner_type = 0;
+    WireBlob payload;
+
+    LLS_WIRE_FIELDS(Envelope, origin, seq, dst, inner_type, payload)
+  };
+
   /// Wraps `inner` (not owned; must outlive the relay).
   explicit RelayActor(Actor& inner) : inner_(inner) {}
 
@@ -62,38 +74,6 @@ class RelayActor final : public Actor {
   [[nodiscard]] std::uint64_t originated() const { return originated_; }
 
  private:
-  struct Envelope {
-    ProcessId origin = kNoProcess;
-    std::uint64_t seq = 0;
-    ProcessId dst = kNoProcess;
-    MessageType inner_type = 0;
-    Bytes payload;
-
-    [[nodiscard]] Bytes encode() const {
-      // Exact-size flat encode: header fields + u32 length + payload.
-      Bytes out(sizeof(origin) + sizeof(seq) + sizeof(dst) +
-                sizeof(inner_type) + 4 + payload.size());
-      FlatWriter w(out);
-      w.put(origin);
-      w.put(seq);
-      w.put(dst);
-      w.put(inner_type);
-      w.put_bytes(payload);
-      return out;
-    }
-
-    static Envelope decode(BytesView view) {
-      BufReader r(view);
-      Envelope e;
-      e.origin = r.get<ProcessId>();
-      e.seq = r.get<std::uint64_t>();
-      e.dst = r.get<ProcessId>();
-      e.inner_type = r.get<MessageType>();
-      e.payload = r.get_bytes();
-      return e;
-    }
-  };
-
   /// Runtime wrapper handed to the inner actor: sends become envelope
   /// broadcasts; everything else passes through.
   class RelayRuntime final : public Runtime {
@@ -116,6 +96,7 @@ class RelayActor final : public Actor {
     Rng& rng() override { return base_.rng(); }
     [[nodiscard]] StableStorage* storage() override { return base_.storage(); }
     [[nodiscard]] obs::Plane& obs() override { return base_.obs(); }
+    [[nodiscard]] BufferPool& pool() override { return base_.pool(); }
 
    private:
     RelayActor& relay_;

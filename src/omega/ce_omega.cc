@@ -6,39 +6,6 @@
 
 namespace lls {
 
-Bytes CeOmega::AliveMsg::encode() const {
-  // Fixed-layout message: one exact-size allocation, flat stores.
-  Bytes out(sizeof(counter) + sizeof(phase));
-  FlatWriter w(out);
-  w.put(counter);
-  w.put(phase);
-  return out;
-}
-
-CeOmega::AliveMsg CeOmega::AliveMsg::decode(BytesView payload) {
-  BufReader r(payload);
-  AliveMsg m;
-  m.counter = r.get<std::uint64_t>();
-  m.phase = r.get<std::uint64_t>();
-  return m;
-}
-
-Bytes CeOmega::AccuseMsg::encode() const {
-  Bytes out(sizeof(accused) + sizeof(phase));
-  FlatWriter w(out);
-  w.put(accused);
-  w.put(phase);
-  return out;
-}
-
-CeOmega::AccuseMsg CeOmega::AccuseMsg::decode(BytesView payload) {
-  BufReader r(payload);
-  AccuseMsg m;
-  m.accused = r.get<ProcessId>();
-  m.phase = r.get<std::uint64_t>();
-  return m;
-}
-
 void CeOmega::on_start(Runtime& rt) {
   self_ = rt.id();
   n_ = rt.n();
@@ -110,10 +77,10 @@ void CeOmega::bump_timeout(ProcessId q) {
 }
 
 void CeOmega::send_alive(Runtime& rt) {
-  AliveMsg msg{acc_[self_], my_phase_};
-  Bytes payload = msg.encode();
+  const auto frame =
+      wire::encode_pooled(rt.pool(), AliveMsg{acc_[self_], my_phase_});
   for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
-    if (q != self_) rt.send(q, msg_type::kCeOmegaAlive, payload);
+    if (q != self_) rt.send(q, msg_type::kCeOmegaAlive, frame.view());
   }
   // The same heartbeat that advertises leadership renews the lease hint —
   // no extra message class (ISSUE: leases ride existing traffic).
@@ -181,14 +148,14 @@ void CeOmega::on_timer(Runtime& rt, TimerId timer) {
   // demote it provisionally, and adapt the timeout so a timely source is
   // eventually never accused again.
   ProcessId accused = leader_;
-  AccuseMsg msg{accused, last_phase_[accused]};
-  Bytes payload = msg.encode();
+  const auto frame = wire::encode_pooled(
+      rt.pool(), AccuseMsg{accused, last_phase_[accused]});
   if (config_.broadcast_accusations) {
     for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
-      if (q != self_) rt.send(q, msg_type::kCeOmegaAccuse, payload);
+      if (q != self_) rt.send(q, msg_type::kCeOmegaAccuse, frame.view());
     }
   } else {
-    rt.send(accused, msg_type::kCeOmegaAccuse, payload);
+    rt.send(accused, msg_type::kCeOmegaAccuse, frame.view());
   }
   ++prov_[accused];
   bump_timeout(accused);

@@ -29,7 +29,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/serialization.h"
+#include "net/wire.h"
 #include "omega/omega.h"
 
 namespace lls {
@@ -69,6 +69,21 @@ struct CeOmegaConfig {
 
 class CeOmega final : public OmegaActor {
  public:
+  // Wire messages ---------------------------------------------------------
+  struct AliveMsg {
+    std::uint64_t counter = 0;
+    std::uint64_t phase = 0;
+
+    LLS_WIRE_FIELDS(AliveMsg, counter, phase)
+  };
+
+  struct AccuseMsg {
+    ProcessId accused = kNoProcess;
+    std::uint64_t phase = 0;
+
+    LLS_WIRE_FIELDS(AccuseMsg, accused, phase)
+  };
+
   explicit CeOmega(CeOmegaConfig config) : config_(config) {}
 
   // Actor interface -------------------------------------------------------
@@ -95,22 +110,6 @@ class CeOmega final : public OmegaActor {
   [[nodiscard]] Duration timeout_of(ProcessId q) const { return timeout_[q]; }
 
  private:
-  struct AliveMsg {
-    std::uint64_t counter = 0;
-    std::uint64_t phase = 0;
-
-    [[nodiscard]] Bytes encode() const;
-    static AliveMsg decode(BytesView payload);
-  };
-
-  struct AccuseMsg {
-    ProcessId accused = kNoProcess;
-    std::uint64_t phase = 0;
-
-    [[nodiscard]] Bytes encode() const;
-    static AccuseMsg decode(BytesView payload);
-  };
-
   /// Effective election key of q as seen locally.
   [[nodiscard]] std::uint64_t key_counter(ProcessId q) const {
     return acc_[q] + prov_[q];

@@ -22,18 +22,13 @@ std::uint64_t decode_u64(BytesView v) {
   return r.get<std::uint64_t>();
 }
 
-Bytes encode_leader_msg(const std::vector<std::uint64_t>& recovered) {
-  // Exact size: u32 count + 8 bytes per element (matches get_vec's layout).
-  Bytes out(4 + recovered.size() * 8);
-  FlatWriter w(out);
-  w.put(static_cast<std::uint32_t>(recovered.size()));
-  for (std::uint64_t x : recovered) w.put(x);
-  return out;
-}
-
-std::vector<std::uint64_t> decode_leader_msg(BytesView v) {
-  BufReader r(v);
-  return r.get_vec<std::uint64_t>();
+/// Sends LEADER(Recovered[]) to every other process.
+void broadcast_leader_msg(Runtime& rt, int n,
+                          const std::vector<std::uint64_t>& recovered) {
+  const auto frame = wire::encode_pooled(rt.pool(), CrLeaderMsg{recovered});
+  for (ProcessId q = 0; q < static_cast<ProcessId>(n); ++q) {
+    if (q != rt.id()) rt.send(q, msg_type::kCrLeader, frame.view());
+  }
 }
 
 /// Lexicographic "q is at least as good a leader as l" on (count, id).
@@ -90,10 +85,7 @@ void CrOmegaStable::on_start(Runtime& rt) {
 }
 
 void CrOmegaStable::send_leader_msg(Runtime& rt) {
-  Bytes payload = encode_leader_msg(recovered_);
-  for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
-    if (q != self_) rt.send(q, msg_type::kCrLeader, payload);
-  }
+  broadcast_leader_msg(rt, n_, recovered_);
   // The LEADER broadcast doubles as the lease-hint renewal (no extra
   // message class), exactly like CeOmega's ALIVE.
   if (config_.lease_duration > 0) {
@@ -124,7 +116,7 @@ void CrOmegaStable::set_leader(Runtime& rt, ProcessId q, bool restart_timer) {
 void CrOmegaStable::on_message(Runtime& rt, ProcessId src, MessageType type,
                                BytesView payload) {
   if (type != msg_type::kCrLeader) return;
-  std::vector<std::uint64_t> theirs = decode_leader_msg(payload);
+  auto theirs = CrLeaderMsg::decode(payload).recovered;
   if (theirs.size() != recovered_.size()) return;  // foreign n: ignore
   for (std::size_t r = 0; r < recovered_.size(); ++r) {
     recovered_[r] = std::max(recovered_[r], theirs[r]);
@@ -215,7 +207,7 @@ void CrOmegaVolatile::on_message(Runtime& rt, ProcessId src, MessageType type,
       maybe_self_elect(rt);
       return;
     case msg_type::kCrLeader: {
-      std::vector<std::uint64_t> theirs = decode_leader_msg(payload);
+      auto theirs = CrLeaderMsg::decode(payload).recovered;
       if (theirs.size() != recovered_.size()) return;
       for (std::size_t r = 0; r < recovered_.size(); ++r) {
         recovered_[r] = std::max(recovered_[r], theirs[r]);
@@ -251,10 +243,7 @@ void CrOmegaVolatile::on_timer(Runtime& rt, TimerId timer) {
   if (timer == tick_timer_) {
     tick_timer_ = rt.set_timer(config_.eta);
     if (leader_ == self_) {
-      Bytes payload = encode_leader_msg(recovered_);
-      for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
-        if (q != self_) rt.send(q, msg_type::kCrLeader, payload);
-      }
+      broadcast_leader_msg(rt, n_, recovered_);
     } else if (leader_ == kNoProcess) {
       Bytes empty;
       for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/serialization.h"
+#include "net/wire.h"
 #include "omega/omega.h"
 
 namespace lls {
@@ -57,6 +58,14 @@ struct CrOmegaConfig {
   /// renews lease_until() to now + lease_duration while self-led; demotion
   /// zeroes it. 0 (default) = no hint.
   Duration lease_duration = 0;
+};
+
+/// LEADER(Recovered[]): the sender's view of every process's recovery
+/// count (both figures use it).
+struct CrLeaderMsg {
+  std::vector<std::uint64_t> recovered;
+
+  LLS_WIRE_FIELDS(CrLeaderMsg, recovered)
 };
 
 /// Fig. 3: communication-efficient, stable storage.

@@ -1,15 +1,14 @@
 // KvCore: one consensus group's replicated-KV machinery, independent of the
 // leader oracle that drives it.
 //
-// Historically this logic lived inside the BasicKvReplica template; it was
-// extracted so that a sharded container (shard/) can host M cores behind a
-// single Omega instance without instantiating M oracles. A core owns
+// The replica host (shard/sharded_replica.h) runs M cores behind a single
+// Omega instance without instantiating M oracles. A core owns
 //   * a LogConsensus engine (fed by the shared, non-owned OmegaActor),
 //   * the deterministic KvStore it applies decided commands to,
 //   * all client-service state for its key range: (origin, seq) dedup,
 //     result caches, the admission window with BUSY backpressure, batching.
-// BasicKvReplica (replica.h) is now a thin wrapper: one oracle + one core;
-// BasicShardedReplica (shard/sharded_replica.h) is one oracle + M cores.
+// BasicShardedReplica is one oracle + M cores; M = 1 is the unsharded
+// replica.
 //
 // Consensus guarantees at-least-once placement of a submitted command (it
 // may appear in two instances across a leader change); the core's

@@ -98,7 +98,6 @@ ThreadCluster::ThreadCluster(ThreadClusterConfig config,
   for (int p = 0; p < config.n; ++p) {
     loops_.push_back(std::make_unique<ProcessLoop>(
         *this, static_cast<ProcessId>(p), master.fork()));
-    sent_by_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
   }
 }
 
@@ -135,15 +134,10 @@ TimePoint ThreadCluster::now() const {
       .count();
 }
 
-std::uint64_t ThreadCluster::messages_sent_by(ProcessId p) const {
-  return sent_by_.at(p)->load();
-}
-
 void ThreadCluster::route(ProcessId src, ProcessId dst, MessageType type,
                           BytesView payload) {
   if (dst >= static_cast<ProcessId>(config_.n) || dst == src) return;
   sent_count_.fetch_add(1, std::memory_order_relaxed);
-  sent_by_[src]->fetch_add(1, std::memory_order_relaxed);
 
   LinkDecision decision;
   TimePoint t = now();

@@ -61,7 +61,8 @@ class ThreadCluster {
   [[nodiscard]] bool alive(ProcessId p) const;
 
   /// Runs fn on p's event-loop thread (serialized with its callbacks).
-  /// This is how external code calls into actors (e.g. KvReplica::submit).
+  /// This is how external code calls into actors (e.g. a replica's
+  /// submit()).
   void post(ProcessId p, std::function<void()> fn);
 
   /// Microseconds since cluster construction.
@@ -71,7 +72,6 @@ class ThreadCluster {
 
   /// Total messages handed to the router (including dropped ones).
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_count_; }
-  [[nodiscard]] std::uint64_t messages_sent_by(ProcessId p) const;
 
  private:
   class ProcessLoop;
@@ -89,7 +89,6 @@ class ThreadCluster {
   std::mutex router_mu_;
   std::vector<LinkSlot> links_;
   std::atomic<std::uint64_t> sent_count_{0};
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> sent_by_;
 
   std::vector<std::unique_ptr<ProcessLoop>> loops_;
   bool started_ = false;

@@ -34,6 +34,7 @@ UdpNode::UdpNode(UdpNodeConfig config, std::unique_ptr<Actor> actor)
   datagrams_sent_ = &reg.counter("udp.datagrams_sent");
   bytes_sent_ = &reg.counter("udp.bytes_sent");
   datagrams_received_ = &reg.counter("udp.datagrams_received");
+  malformed_dropped_ = &reg.counter("udp.malformed_dropped");
   sendmmsg_calls_ = &reg.counter("udp.sendmmsg_calls");
   recvmmsg_calls_ = &reg.counter("udp.recvmmsg_calls");
   pool_hits_ = &reg.counter("udp.pool_hits");
@@ -43,6 +44,9 @@ UdpNode::UdpNode(UdpNodeConfig config, std::unique_ptr<Actor> actor)
 UdpNode::~UdpNode() {
   stop();
   if (fd_ >= 0) ::close(fd_);
+  // The actor may hold subscriptions on plane_'s bus (a replica's KvCore
+  // does), and plane_ is declared after actor_: destroy the actor first.
+  actor_.reset();
 }
 
 TimePoint UdpNode::now() const {
@@ -220,9 +224,15 @@ void UdpNode::deliver_frame(const std::byte* data, std::size_t len) {
   std::memcpy(&type, data + sizeof(src), sizeof(type));
   if (src >= static_cast<std::uint32_t>(config_.n)) return;
   datagrams_received_->inc();
-  // Borrow-scoped: the receive slab is overwritten by the next drain.
-  loop_.deliver(*actor_, static_cast<ProcessId>(src), type,
-                BytesView(data + kHeaderSize, len - kHeaderSize));
+  // Borrow-scoped: the receive slab is overwritten by the next drain. A
+  // body that will not decode is dropped here: every handler decodes
+  // before it mutates state, so the throw leaves the actor as it was.
+  try {
+    loop_.deliver(*actor_, static_cast<ProcessId>(src), type,
+                  BytesView(data + kHeaderSize, len - kHeaderSize));
+  } catch (const SerializationError&) {
+    malformed_dropped_->inc();
+  }
 }
 
 void UdpNode::drain_socket() {

@@ -110,6 +110,7 @@ class UdpNode final : public Runtime {
   obs::Counter* datagrams_sent_ = nullptr;
   obs::Counter* bytes_sent_ = nullptr;
   obs::Counter* datagrams_received_ = nullptr;
+  obs::Counter* malformed_dropped_ = nullptr;
   obs::Counter* sendmmsg_calls_ = nullptr;
   obs::Counter* recvmmsg_calls_ = nullptr;
   obs::Counter* pool_hits_ = nullptr;

@@ -1,11 +1,14 @@
-// BasicShardedReplica: M consensus groups, one process, one fabric endpoint.
+// BasicShardedReplica: the replica host — M consensus groups, one process,
+// one fabric endpoint. M = 1 is the ordinary unsharded replica.
 //
 // The container hosts M KvCores (one LogConsensus + KvStore + client
 // service each) behind a single Actor, sharing
-//   * one network endpoint — inter-replica traffic of group g is wrapped in
-//     a GroupEnvelopeMsg by a per-group Runtime view on the way out and
-//     unwrapped/routed here on the way in, so the M logs multiplex over the
-//     same typed fair-lossy links;
+//   * one network endpoint — group 0's consensus traffic travels bare
+//     (0x02xx, byte-identical to an unsharded log), and each group g >= 1
+//     is wrapped in a GroupEnvelopeMsg by a per-group Runtime view on the
+//     way out; on the way in, bare consensus messages go to group 0 and
+//     envelopes to their group, so the M logs multiplex over the same typed
+//     fair-lossy links without an envelope cost at M = 1;
 //   * one leader oracle — a single Omega instance feeds every co-located
 //     group its leader() output, so election/heartbeat traffic does NOT
 //     multiply by M (the López et al. weak-channel argument: one oracle
@@ -19,10 +22,15 @@
 // batches) run independently — see bench_shard_scaling.
 //
 // Client routing: 0x031x messages arrive unenveloped; the container decodes
-// just enough to hash the command key and hands the message to the owning
-// group, which replies directly (replies carry no shard routing — the
-// client matches by seq). A coalesced request batch may span shards; it is
-// split here and re-packed per group.
+// the command to hash its key and hands the message to the owning group,
+// which replies directly (replies carry no shard routing — the client
+// matches by seq). A coalesced request batch may span shards; it is split
+// here and re-packed per group. A command that will not decode is dropped
+// here, before any group sees it.
+//
+// Durable consensus (LogConsensusConfig::durable) is supported at M = 1
+// only: the one group persists under the log's own storage keys, and M > 1
+// groups would collide on them.
 #pragma once
 
 #include <memory>
@@ -33,13 +41,14 @@
 
 #include "common/actor.h"
 #include "omega/ce_omega.h"
+#include "omega/cr_omega.h"
 #include "rsm/kv_core.h"
 #include "shard/shard_map.h"
 
 namespace lls {
 
 struct ShardedReplicaConfig {
-  /// Number of consensus groups (M). 1 is a valid degenerate container.
+  /// Number of consensus groups (M >= 1). M = 1 is the unsharded replica.
   int shards = 1;
   /// Per-group replica knobs (admission window, batching, cluster size).
   /// The admission high-water mark applies per group.
@@ -51,12 +60,16 @@ class BasicShardedReplica final : public Actor {
  public:
   using Callback = KvCore::Callback;
 
-  /// Aggregate options, mirroring BasicKvReplica::Options. `consensus` is
-  /// the per-group template; the container stamps each copy with its shard
-  /// index (events, histograms, redirects and leases pick up the per-shard
-  /// identity from there). Per-group leases all ride the ONE shared Omega:
-  /// each group's fence/support accounting is independent, but the oracle's
-  /// self-belief (and its lease hint, if configured) is container-wide.
+  /// Aggregate options: one named place for every knob of the stack.
+  /// Designated initializers keep call sites self-documenting:
+  ///   ShardedKvReplica r({.omega = {...}, .consensus = {...},
+  ///                       .sharded = {...}});
+  /// `consensus` is the per-group template; the container stamps each copy
+  /// with its shard index (events, histograms, redirects and leases pick up
+  /// the per-shard identity from there). Per-group leases all ride the ONE
+  /// shared Omega: each group's fence/support accounting is independent,
+  /// but the oracle's self-belief (and its lease hint, if configured) is
+  /// container-wide.
   struct Options {
     OmegaConfigT omega;
     LogConsensusConfig consensus;
@@ -67,11 +80,11 @@ class BasicShardedReplica final : public Actor {
       : config_(options.sharded),
         map_(options.sharded.shards),
         omega_(options.omega) {
-    if (options.consensus.durable) {
+    if (options.consensus.durable && map_.shards() > 1) {
       // All groups would collide on the one durable-state storage key; a
       // per-group storage namespace is future work.
       throw std::logic_error(
-          "BasicShardedReplica does not support durable consensus yet");
+          "BasicShardedReplica supports durable consensus only at M = 1");
     }
     groups_.reserve(static_cast<std::size_t>(map_.shards()));
     for (int g = 0; g < map_.shards(); ++g) {
@@ -79,6 +92,14 @@ class BasicShardedReplica final : public Actor {
       cc.shard = g;
       groups_.push_back(std::make_unique<KvCore>(
           KvCoreOptions{&omega_, cc, config_.replica}));
+      // Sequence numbers must be unique across a process's incarnations: a
+      // crash-recovery oracle namespaces them by its incarnation number
+      // (read lazily, after the oracle has started); a crash-stop one
+      // starts at 1.
+      if constexpr (requires { omega_.incarnation(); }) {
+        groups_.back()->set_initial_seq(
+            [this] { return (omega_.incarnation() << 32) + 1; });
+      }
     }
   }
 
@@ -115,8 +136,10 @@ class BasicShardedReplica final : public Actor {
       route_client_batch(src, payload);
       return;
     }
-    // Bare (unenveloped) consensus traffic has no group in a sharded
-    // deployment: drop. Mixed sharded/unsharded clusters are a config error.
+    if (type >= 0x0200 && type <= 0x02ff) {
+      // Bare consensus traffic is group 0's (see GroupRuntime::send).
+      groups_[0]->on_message(*group_rts_[0], src, type, payload);
+    }
   }
 
   void on_timer(Runtime&, TimerId timer) override {
@@ -208,10 +231,11 @@ class BasicShardedReplica final : public Actor {
  private:
   static constexpr int kOmegaOwner = -1;
 
-  /// Per-group view of the shared endpoint: consensus-block sends leave
-  /// wrapped in this group's envelope, everything else (client replies,
-  /// Omega traffic for the oracle's view) passes through untouched. Timers
-  /// are tagged with their owner so the container can route the callback.
+  /// Per-group view of the shared endpoint: consensus-block sends of groups
+  /// >= 1 leave wrapped in their group's envelope; group 0's consensus
+  /// traffic and everything else (client replies, Omega traffic for the
+  /// oracle's view) pass through untouched. Timers are tagged with their
+  /// owner so the container can route the callback.
   class GroupRuntime final : public Runtime {
    public:
     GroupRuntime(BasicShardedReplica& host, int owner)
@@ -226,7 +250,7 @@ class BasicShardedReplica final : public Actor {
     }
 
     void send(ProcessId dst, MessageType type, BytesView payload) override {
-      if (owner_ >= 0 && type >= 0x0200 && type <= 0x02ff) {
+      if (owner_ > 0 && type >= 0x0200 && type <= 0x02ff) {
         // Wrap without copying: the envelope borrows the inner frame and
         // encodes into a pooled buffer consumed synchronously by send.
         GroupEnvelopeMsg env;
@@ -353,7 +377,13 @@ class BasicShardedReplica final : public Actor {
   std::uint64_t requests_rejected_ = 0;
 };
 
-/// The crash-stop sharded container: M logs fed by one CE-Omega.
+/// The paper's crash-stop replica: M logs fed by one CE-Omega.
 using ShardedKvReplica = BasicShardedReplica<CeOmega, CeOmegaConfig>;
+
+/// Crash-recovery replica: the stable-storage Omega; pair with
+/// LogConsensusConfig::durable = true (M = 1) and the simulator's
+/// crash-recovery mode, and the store is rebuilt from the replayed durable
+/// log on every recovery — even after a full-cluster restart.
+using CrKvReplica = BasicShardedReplica<CrOmegaStable, CrOmegaConfig>;
 
 }  // namespace lls

@@ -23,7 +23,6 @@
 #include "obs/trace.h"
 #include "rsm/history.h"
 #include "rsm/linearizability.h"
-#include "rsm/replica.h"
 #include "shard/sharded_replica.h"
 #include "sim/nemesis.h"
 #include "sim/simulator.h"
@@ -677,29 +676,22 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
   lc.lease.unsafe_skip_fence = config.lease_sabotage;
   CeOmegaConfig oc = ce_config(config);
   if (lease_mode) oc.lease_duration = config.lease_duration;
-  const bool sharded = config.shards > 0;
+  ShardedReplicaConfig src;
+  src.shards = config.shards;
+  src.replica = rc;
+  const ShardedKvReplica::Options opts{
+      .omega = oc, .consensus = lc, .sharded = src};
   for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
-    if (sharded) {
-      ShardedReplicaConfig src;
-      src.shards = config.shards;
-      src.replica = rc;
-      ShardedKvReplica::Options opts{
-          .omega = oc, .consensus = lc, .sharded = src};
-      if (relayed) {
-        sim.emplace_actor<RelayActor>(
-            p, std::make_unique<ShardedKvReplica>(opts));
-      } else {
-        sim.emplace_actor<ShardedKvReplica>(p, opts);
-      }
+    if (relayed) {
+      sim.emplace_actor<RelayActor>(p,
+                                    std::make_unique<ShardedKvReplica>(opts));
     } else {
-      KvReplica::Options opts{.omega = oc, .consensus = lc, .replica = rc};
-      if (relayed) {
-        sim.emplace_actor<RelayActor>(p, std::make_unique<KvReplica>(opts));
-      } else {
-        sim.emplace_actor<KvReplica>(p, opts);
-      }
+      sim.emplace_actor<ShardedKvReplica>(p, opts);
     }
   }
+  auto replica = [&sim, relayed](ProcessId p) -> ShardedKvReplica& {
+    return proto_actor<ShardedKvReplica>(sim, p, relayed);
+  };
   // The sabotage script needs a controlled execution: no nemesis chaos, the
   // scripted partition is the only fault. Lease-assassin runs hand the
   // whole crash budget to the assassin (killing at a *meaningful* moment
@@ -714,15 +706,9 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
     nemesis.emplace(sim, base, nc);
   }
 
-  auto holder_of = [&sim, &config, sharded, relayed]() {
+  auto holder_of = [&sim, &config, replica]() {
     for (ProcessId p = 0; p < static_cast<ProcessId>(config.n); ++p) {
-      if (!sim.alive(p)) continue;
-      const bool valid =
-          sharded
-              ? proto_actor<ShardedKvReplica>(sim, p, relayed)
-                        .lease_valid_groups() > 0
-              : proto_actor<KvReplica>(sim, p, relayed).lease_valid();
-      if (valid) return p;
+      if (sim.alive(p) && replica(p).lease_valid_groups() > 0) return p;
     }
     return kNoProcess;
   };
@@ -781,7 +767,7 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
   auto history = std::make_shared<std::vector<HistoryOp>>();
   history->reserve(plan->size());
   for (std::size_t k = 0; k < plan->size(); ++k) {
-    sim.schedule((*plan)[k].at, [&sim, plan, history, k, sharded, relayed]() {
+    sim.schedule((*plan)[k].at, [&sim, plan, history, k, replica]() {
       const PlannedKvOp& spec = (*plan)[k];
       if (!sim.alive(spec.submitter)) return;  // op never issued
       HistoryOp op;
@@ -798,15 +784,9 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
         (*history)[slot].responded = sim.now();
         (*history)[slot].result = result;
       };
-      if (sharded) {
-        proto_actor<ShardedKvReplica>(sim, spec.submitter, relayed)
-            .submit(spec.op, spec.key, spec.value, spec.expected,
-                    std::move(done));
-      } else {
-        proto_actor<KvReplica>(sim, spec.submitter, relayed)
-            .submit(spec.op, spec.key, spec.value, spec.expected,
-                    std::move(done));
-      }
+      replica(spec.submitter)
+          .submit(spec.op, spec.key, spec.value, spec.expected,
+                  std::move(done));
     });
   }
   // Lease sabotage script: elect and write, partition the leaseholder away
@@ -817,9 +797,9 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
   // state; the linearizability checker must catch exactly that.
   auto sab_leader = std::make_shared<ProcessId>(kNoProcess);
   if (config.lease_sabotage) {
-    auto submit_at = [&sim, history, sharded, relayed](ProcessId p, KvOp op,
-                                                       std::string key,
-                                                       std::string value) {
+    auto submit_at = [&sim, history, replica](ProcessId p, KvOp op,
+                                              std::string key,
+                                              std::string value) {
       HistoryOp rec;
       rec.cmd.origin = p;
       rec.cmd.seq = static_cast<std::uint64_t>(history->size()) + 1;
@@ -833,15 +813,8 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
         (*history)[slot].responded = sim.now();
         (*history)[slot].result = result;
       };
-      if (sharded) {
-        proto_actor<ShardedKvReplica>(sim, p, relayed)
-            .submit(op, std::move(key), std::move(value), "",
-                    std::move(done));
-      } else {
-        proto_actor<KvReplica>(sim, p, relayed)
-            .submit(op, std::move(key), std::move(value), "",
-                    std::move(done));
-      }
+      replica(p).submit(op, std::move(key), std::move(value), "",
+                        std::move(done));
     };
     sim.schedule(3 * kSecond, [sab_leader, holder_of, submit_at]() {
       *sab_leader = holder_of();
@@ -910,9 +883,9 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
   }
 
   // Convergence: alive replicas hold byte-identical stores at the horizon —
-  // per group when sharded (the groups' stores are disjoint key partitions
-  // that must each converge independently).
-  const int groups = sharded ? config.shards : 1;
+  // per group (the groups' stores are disjoint key partitions that must
+  // each converge independently).
+  const int groups = config.shards;
   std::vector<std::optional<std::uint64_t>> digests(
       static_cast<std::size_t>(groups));
   std::vector<bool> diverged(static_cast<std::size_t>(groups), false);
@@ -920,12 +893,7 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
        !config.lease_sabotage && p < static_cast<ProcessId>(config.n); ++p) {
     if (!sim.alive(p)) continue;
     for (int g = 0; g < groups; ++g) {
-      const std::uint64_t d =
-          sharded ? proto_actor<ShardedKvReplica>(sim, p, relayed)
-                        .group(g)
-                        .store()
-                        .digest()
-                  : proto_actor<KvReplica>(sim, p, relayed).store().digest();
+      const std::uint64_t d = replica(p).group(g).store().digest();
       auto& ref = digests[static_cast<std::size_t>(g)];
       if (!ref) {
         ref = d;
@@ -933,7 +901,8 @@ CaseResult run_kv(const CampaignConfig& config, std::uint64_t seed) {
         diverged[static_cast<std::size_t>(g)] = true;
         violations.emplace_back(
             "alive replicas diverged: store digests differ" +
-            (sharded ? " (shard " + std::to_string(g) + ")" : std::string()));
+            (groups > 1 ? " (shard " + std::to_string(g) + ")"
+                        : std::string()));
       }
     }
   }
@@ -997,10 +966,10 @@ CaseResult run_client_session(const CampaignConfig& config,
   rc.max_batch = 4;
   rc.batch_flush_delay = 2 * kMillisecond;
   for (ProcessId p = 0; p < static_cast<ProcessId>(cluster_n); ++p) {
-    sim.emplace_actor<KvReplica>(
-        p, KvReplica::Options{.omega = ce_config(config),
-                              .consensus = LogConsensusConfig{},
-                              .replica = rc});
+    sim.emplace_actor<ShardedKvReplica>(
+        p, ShardedKvReplica::Options{.omega = ce_config(config),
+                                     .consensus = LogConsensusConfig{},
+                                     .sharded = {.shards = 1, .replica = rc}});
   }
   ClusterClientConfig cc;
   cc.cluster_n = cluster_n;
@@ -1079,7 +1048,7 @@ CaseResult run_client_session(const CampaignConfig& config,
   std::optional<std::uint64_t> digest;
   for (ProcessId p = 0; p < static_cast<ProcessId>(cluster_n); ++p) {
     if (!sim.alive(p)) continue;
-    const KvStore& store = sim.actor_as<KvReplica>(p).store();
+    const KvStore& store = sim.actor_as<ShardedKvReplica>(p).group(0).store();
     std::uint64_t d = store.digest();
     if (!digest) {
       digest = d;
@@ -1170,7 +1139,7 @@ std::string replay_command(const CampaignConfig& config, std::uint64_t seed) {
       << " --kills=" << config.crash_stop_budget;
   if (config.scenario == Scenario::kKvLinearizable) {
     out << " --kv-ops=" << config.kv_ops << " --kv-keys=" << config.kv_keys;
-    if (config.shards > 0) out << " --shards=" << config.shards;
+    if (config.shards != 1) out << " --shards=" << config.shards;
     if (config.lease_reads) out << " --lease-reads";
     if (config.lease_sabotage) out << " --lease-sabotage";
   }
@@ -1340,8 +1309,10 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
       KvReplicaConfig rc;
       rc.max_batch = 8;
       rc.batch_flush_delay = 2 * kMillisecond;
-      return std::make_unique<CrKvReplica>(CrKvReplica::Options{
-          .omega = CrOmegaConfig{}, .consensus = lc, .replica = rc});
+      return std::make_unique<CrKvReplica>(
+          CrKvReplica::Options{.omega = CrOmegaConfig{},
+                               .consensus = lc,
+                               .sharded = {.shards = 1, .replica = rc}});
     });
   }
 
@@ -1398,14 +1369,15 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
                        for (ProcessId p = 0;
                             p < static_cast<ProcessId>(sim.n()); ++p) {
                          if (!sim.alive(p)) return true;
-                         floor = std::min(
-                             floor,
-                             sim.actor_as<CrKvReplica>(p).applied_upto());
+                         floor = std::min(floor, sim.actor_as<CrKvReplica>(p)
+                                                     .group(0)
+                                                     .applied_upto());
                        }
                        if (floor == 0) return true;
                        for (ProcessId p = 0;
                             p < static_cast<ProcessId>(sim.n()); ++p) {
-                         sim.actor_as<CrKvReplica>(p).compact_to(floor);
+                         sim.actor_as<CrKvReplica>(p).group(0).compact_to(
+                             floor);
                        }
                        ++result.compactions;
                        return true;
@@ -1507,7 +1479,8 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
   std::optional<std::uint64_t> digest;
   for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
     if (!sim.alive(p)) continue;
-    const std::uint64_t d = sim.actor_as<CrKvReplica>(p).store().digest();
+    const std::uint64_t d =
+        sim.actor_as<CrKvReplica>(p).group(0).store().digest();
     if (!digest) {
       digest = d;
     } else if (*digest != d) {

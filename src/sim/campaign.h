@@ -89,13 +89,13 @@ struct CampaignConfig {
   /// sweep; CI's timed check runs 5000 ops over 8 keys).
   int kv_ops = 400;
   int kv_keys = 8;
-  /// kv scenario: consensus groups per replica. 0 = the legacy unsharded
-  /// stack; M >= 1 hosts M key-partitioned groups per process behind one
-  /// shared Omega (shard/BasicShardedReplica), with convergence checked per
-  /// group and the same global history fed to the linearizability checker
-  /// (its per-key partitioning aligns with the shard partition, so the
-  /// check is unchanged).
-  int shards = 0;
+  /// kv scenario: consensus groups per replica (M >= 1). Each process hosts
+  /// M key-partitioned groups behind one shared Omega
+  /// (shard/BasicShardedReplica), with convergence checked per group and
+  /// the same global history fed to the linearizability checker (its
+  /// per-key partitioning aligns with the shard partition, so the check is
+  /// unchanged).
+  int shards = 1;
   /// kv scenario: leader leases. Replicas run the lease protocol and serve
   /// read-only Gets from local state while the lease holds; an assassin
   /// schedule spends crash_stop_budget killing whoever holds a *valid*

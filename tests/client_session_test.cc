@@ -20,7 +20,7 @@
 #include "net/topology.h"
 #include "rsm/history.h"
 #include "rsm/linearizability.h"
-#include "rsm/replica.h"
+#include "shard/sharded_replica.h"
 #include "sim/nemesis.h"
 #include "sim/simulator.h"
 
@@ -63,12 +63,12 @@ TEST(ClientSessionE2E, ExactlyOnceAcrossForcedLeaderCrash) {
   rc.cluster_n = kClusterN;
   rc.max_batch = 4;
   rc.batch_flush_delay = 2 * kMillisecond;
-  std::vector<KvReplica*> replicas;
+  std::vector<ShardedKvReplica*> replicas;
   for (ProcessId p = 0; p < kClusterN; ++p) {
-    replicas.push_back(&sim.emplace_actor<KvReplica>(
-        p, KvReplica::Options{.omega = CeOmegaConfig{},
-                              .consensus = LogConsensusConfig{},
-                              .replica = rc}));
+    replicas.push_back(&sim.emplace_actor<ShardedKvReplica>(
+        p, ShardedKvReplica::Options{.omega = CeOmegaConfig{},
+                                     .consensus = LogConsensusConfig{},
+                                     .sharded = {.shards = 1, .replica = rc}}));
   }
   ClusterClientConfig cc;
   cc.cluster_n = kClusterN;
@@ -162,7 +162,8 @@ TEST(ClientSessionE2E, ExactlyOnceAcrossForcedLeaderCrash) {
   bool have_digest = false;
   for (ProcessId p = 1; p < kClusterN; ++p) {
     ASSERT_TRUE(sim.alive(p));
-    const KvStore& store = replicas[static_cast<std::size_t>(p)]->store();
+    const KvStore& store =
+        replicas[static_cast<std::size_t>(p)]->group(0).store();
     if (!have_digest) {
       digest = store.digest();
       have_digest = true;

@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "net/topology.h"
-#include "rsm/replica.h"
+#include "shard/sharded_replica.h"
 #include "sim/simulator.h"
 
 namespace lls {
@@ -24,8 +24,10 @@ std::unique_ptr<Simulator> make_cr_kv_cluster(int n, std::uint64_t seed) {
     sim->set_actor_factory(p, []() {
       LogConsensusConfig lc;
       lc.durable = true;
-      return std::make_unique<CrKvReplica>(CrKvReplica::Options{
-          .omega = CrOmegaConfig{}, .consensus = lc});
+      return std::make_unique<CrKvReplica>(
+          CrKvReplica::Options{.omega = CrOmegaConfig{},
+                               .consensus = lc,
+                               .sharded = ShardedReplicaConfig{}});
     });
   }
   return sim;
@@ -40,10 +42,10 @@ TEST(CrKv, BasicReplicationWorks) {
   });
   sim.start();
   sim.run_until(20 * kSecond);
-  auto digest = sim.actor_as<CrKvReplica>(0).store().digest();
+  auto digest = sim.actor_as<CrKvReplica>(0).group(0).store().digest();
   for (ProcessId p = 0; p < 3; ++p) {
-    EXPECT_EQ(sim.actor_as<CrKvReplica>(p).store().digest(), digest);
-    EXPECT_EQ(sim.actor_as<CrKvReplica>(p).store().applied(), 2u);
+    EXPECT_EQ(sim.actor_as<CrKvReplica>(p).group(0).store().digest(), digest);
+    EXPECT_EQ(sim.actor_as<CrKvReplica>(p).group(0).store().applied(), 2u);
   }
 }
 
@@ -62,10 +64,10 @@ TEST(CrKv, SingleReplicaRecoveryRebuildsStateFromDurableLog) {
   // The recovered replica rebuilt its store (replayed the durable log and/or
   // caught up via DECIDE retransmission) and matches the others.
   auto& recovered = sim.actor_as<CrKvReplica>(2);
-  EXPECT_EQ(recovered.store().digest(),
-            sim.actor_as<CrKvReplica>(0).store().digest());
-  auto it = recovered.store().data().find("user");
-  ASSERT_NE(it, recovered.store().data().end());
+  EXPECT_EQ(recovered.group(0).store().digest(),
+            sim.actor_as<CrKvReplica>(0).group(0).store().digest());
+  auto it = recovered.group(0).store().data().find("user");
+  ASSERT_NE(it, recovered.group(0).store().data().end());
   EXPECT_EQ(it->second, "alice");
 }
 
@@ -85,7 +87,7 @@ TEST(CrKv, RecoveryAfterCompactionRestoresTheSnapshotPrefix) {
   });
   sim.schedule(10 * kSecond, [&]() {
     for (ProcessId p = 0; p < 3; ++p) {
-      EXPECT_GT(sim.actor_as<CrKvReplica>(p).compact_applied(), 0u);
+      EXPECT_GT(sim.actor_as<CrKvReplica>(p).group(0).compact_applied(), 0u);
     }
   });
   sim.crash_at(2, 12 * kSecond);
@@ -94,11 +96,11 @@ TEST(CrKv, RecoveryAfterCompactionRestoresTheSnapshotPrefix) {
   sim.run_until(30 * kSecond);
 
   auto& recovered = sim.actor_as<CrKvReplica>(2);
-  EXPECT_GT(recovered.consensus().compacted_upto(), 0u);
-  EXPECT_EQ(recovered.store().digest(),
-            sim.actor_as<CrKvReplica>(0).store().digest());
-  auto it = recovered.store().data().find("k0");
-  ASSERT_NE(it, recovered.store().data().end());
+  EXPECT_GT(recovered.group(0).consensus().compacted_upto(), 0u);
+  EXPECT_EQ(recovered.group(0).store().digest(),
+            sim.actor_as<CrKvReplica>(0).group(0).store().digest());
+  auto it = recovered.group(0).store().data().find("k0");
+  ASSERT_NE(it, recovered.group(0).store().data().end());
   EXPECT_EQ(it->second, "v0");
 }
 
@@ -112,7 +114,7 @@ TEST(CrKv, CoordinatedCompactionClampsToTheGivenWatermark) {
     }
   });
   sim.schedule(10 * kSecond, [&]() {
-    auto& r = sim.actor_as<CrKvReplica>(1);
+    KvCore& r = sim.actor_as<CrKvReplica>(1).group(0);
     ASSERT_GT(r.applied_upto(), 2u);
     // compact_to never outruns the cluster watermark it is handed...
     EXPECT_EQ(r.compact_to(2), 2u);
@@ -144,8 +146,9 @@ TEST(CrKv, FullClusterPowerLossPreservesTheStore) {
   sim.run_until(60 * kSecond);
 
   for (ProcessId p = 0; p < 3; ++p) {
-    const auto& store = sim.actor_as<CrKvReplica>(p).store();
-    EXPECT_EQ(store.digest(), sim.actor_as<CrKvReplica>(0).store().digest());
+    const auto& store = sim.actor_as<CrKvReplica>(p).group(0).store();
+    EXPECT_EQ(store.digest(),
+              sim.actor_as<CrKvReplica>(0).group(0).store().digest());
     auto k1 = store.data().find("k1");
     ASSERT_NE(k1, store.data().end()) << "p" << p;
     EXPECT_EQ(k1->second, "v1");
@@ -175,8 +178,8 @@ TEST(CrKv, ExactlyOnceAcrossIncarnations) {
   });
   sim.start();
   sim.run_until(60 * kSecond);
-  auto it = sim.actor_as<CrKvReplica>(0).store().data().find("tape");
-  ASSERT_NE(it, sim.actor_as<CrKvReplica>(0).store().data().end());
+  auto it = sim.actor_as<CrKvReplica>(0).group(0).store().data().find("tape");
+  ASSERT_NE(it, sim.actor_as<CrKvReplica>(0).group(0).store().data().end());
   EXPECT_EQ(it->second, "...");  // three appends, each applied exactly once
 }
 
@@ -197,7 +200,7 @@ TEST(CrKv, ChurnWithSteadyWritesConverges) {
   sim.start();
   sim.run_until(120 * kSecond);
   for (ProcessId p = 0; p < 5; ++p) {
-    const auto& store = sim.actor_as<CrKvReplica>(p).store();
+    const auto& store = sim.actor_as<CrKvReplica>(p).group(0).store();
     auto it = store.data().find("t");
     ASSERT_NE(it, store.data().end()) << "p" << p;
     EXPECT_EQ(it->second.size(), 30u) << "p" << p;

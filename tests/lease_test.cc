@@ -23,7 +23,7 @@
 #include "common/storage.h"
 #include "consensus/log_consensus.h"
 #include "net/topology.h"
-#include "rsm/replica.h"
+#include "shard/sharded_replica.h"
 #include "sim/campaign.h"
 #include "sim/simulator.h"
 #include "testing_util.h"
@@ -352,11 +352,12 @@ TEST(LeaseSim, AtMostOneHolderEvenAcrossHolderCrash) {
   LogConsensusConfig lc = leased_config();
   CeOmegaConfig oc;
   oc.lease_duration = kWindow;
-  std::vector<KvReplica*> replicas;
+  std::vector<ShardedKvReplica*> replicas;
   for (ProcessId p = 0; p < 5; ++p) {
-    replicas.push_back(&sim.emplace_actor<KvReplica>(
-        p, KvReplica::Options{
-               .omega = oc, .consensus = lc, .replica = KvReplicaConfig{}}));
+    replicas.push_back(&sim.emplace_actor<ShardedKvReplica>(
+        p, ShardedKvReplica::Options{.omega = oc,
+                                     .consensus = lc,
+                                     .sharded = ShardedReplicaConfig{}}));
   }
   // Supports renew off ordinary ACCEPT/ACCEPTED traffic (there are no lease
   // heartbeats by design), so an idle cluster holds no lease: keep a steady
@@ -379,7 +380,7 @@ TEST(LeaseSim, AtMostOneHolderEvenAcrossHolderCrash) {
     int holders = 0;
     ProcessId who = kNoProcess;
     for (ProcessId p = 0; p < 5; ++p) {
-      if (sim.alive(p) && replicas[p]->lease_valid()) {
+      if (sim.alive(p) && replicas[p]->group(0).consensus().lease_valid()) {
         ++holders;
         who = p;
       }
@@ -428,12 +429,12 @@ TEST(LeaseSim, AsymmetricPartitionNeverYieldsTwoHolders) {
   // is the unfenced acceptor a bypassing B would recruit.
   CeOmegaConfig loyal_oc = oc;
   loyal_oc.initial_timeout = 60 * kSecond;
-  std::vector<KvReplica*> replicas;
+  std::vector<ShardedKvReplica*> replicas;
   for (ProcessId p = 0; p < 3; ++p) {
-    replicas.push_back(&sim.emplace_actor<KvReplica>(
-        p, KvReplica::Options{.omega = p == 2 ? loyal_oc : oc,
-                              .consensus = lc,
-                              .replica = KvReplicaConfig{}}));
+    replicas.push_back(&sim.emplace_actor<ShardedKvReplica>(
+        p, ShardedKvReplica::Options{.omega = p == 2 ? loyal_oc : oc,
+                                     .consensus = lc,
+                                     .sharded = ShardedReplicaConfig{}}));
   }
   // Keep ACCEPT/ACCEPTED traffic flowing so fences and supports renew right
   // up to the partition instant (leases have no heartbeats of their own).
@@ -455,10 +456,10 @@ TEST(LeaseSim, AsymmetricPartitionNeverYieldsTwoHolders) {
   sim.schedule_every(1 * kSecond, 2 * kMillisecond, [&]() {
     int holders = 0;
     for (ProcessId p = 0; p < 3; ++p) {
-      if (replicas[p]->lease_valid()) ++holders;
+      if (replicas[p]->group(0).consensus().lease_valid()) ++holders;
     }
     max_holders = std::max(max_holders, holders);
-    if (replicas[1]->lease_valid()) b_took_over = true;
+    if (replicas[1]->group(0).consensus().lease_valid()) b_took_over = true;
     return true;
   });
   sim.start();
@@ -482,10 +483,12 @@ TEST(LeaseSim, FifoSessionReadNeverOvertakesOwnQueuedWrite) {
   KvReplicaConfig rc;
   rc.fifo_client_order = true;
   rc.lease_reads = true;
-  std::vector<KvReplica*> replicas;
+  std::vector<ShardedKvReplica*> replicas;
   for (ProcessId p = 0; p < 3; ++p) {
-    replicas.push_back(&sim.emplace_actor<KvReplica>(
-        p, KvReplica::Options{.omega = oc, .consensus = lc, .replica = rc}));
+    replicas.push_back(&sim.emplace_actor<ShardedKvReplica>(
+        p, ShardedKvReplica::Options{.omega = oc,
+                                     .consensus = lc,
+                                     .sharded = {.shards = 1, .replica = rc}}));
   }
   // Background writes from another replica keep the lease supports renewed.
   int next_value = 0;
@@ -501,7 +504,7 @@ TEST(LeaseSim, FifoSessionReadNeverOvertakesOwnQueuedWrite) {
     replicas[0]->submit(KvOp::kPut, "fence", "old");
   });
   sim.schedule(4 * kSecond, [&]() {
-    ASSERT_TRUE(replicas[0]->lease_valid());
+    ASSERT_TRUE(replicas[0]->group(0).consensus().lease_valid());
     // Idle session: the fast path answers synchronously from local state.
     locals_before = replicas[0]->reads_local();
     replicas[0]->submit(KvOp::kGet, "fence", "", "",

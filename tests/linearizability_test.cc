@@ -8,7 +8,7 @@
 
 #include "net/topology.h"
 #include "rsm/linearizability.h"
-#include "rsm/replica.h"
+#include "shard/sharded_replica.h"
 #include "sim/simulator.h"
 
 namespace lls {
@@ -247,11 +247,12 @@ std::vector<HistoryOp> run_cluster_history(std::uint64_t seed, int num_ops,
   params.gst = 200 * kMillisecond;
   Simulator sim(SimConfig{kN, seed, 10 * kMillisecond},
                 make_system_s(params));
-  std::vector<KvReplica*> replicas;
+  std::vector<ShardedKvReplica*> replicas;
   for (ProcessId p = 0; p < kN; ++p) {
-    replicas.push_back(&sim.emplace_actor<KvReplica>(
-        p, KvReplica::Options{.omega = CeOmegaConfig{},
-                              .consensus = LogConsensusConfig{}}));
+    replicas.push_back(&sim.emplace_actor<ShardedKvReplica>(
+        p, ShardedKvReplica::Options{.omega = CeOmegaConfig{},
+                                     .consensus = LogConsensusConfig{},
+                                     .sharded = ShardedReplicaConfig{}}));
   }
 
   auto history = std::make_shared<std::vector<HistoryOp>>();

@@ -6,7 +6,7 @@
 #include "consensus/experiment.h"
 #include "net/topology.h"
 #include "omega/experiment.h"
-#include "rsm/replica.h"
+#include "shard/sharded_replica.h"
 #include "sim/nemesis.h"
 
 namespace lls {
@@ -113,11 +113,12 @@ TEST(NemesisKv, ReplicatedStoreConvergesThroughChaos) {
   config.seed = 42;
   LinkFactory base = base_links();
   Simulator sim(config, base);
-  std::vector<KvReplica*> replicas;
+  std::vector<ShardedKvReplica*> replicas;
   for (ProcessId p = 0; p < 5; ++p) {
-    replicas.push_back(&sim.emplace_actor<KvReplica>(
-        p, KvReplica::Options{.omega = CeOmegaConfig{},
-                              .consensus = LogConsensusConfig{}}));
+    replicas.push_back(&sim.emplace_actor<ShardedKvReplica>(
+        p, ShardedKvReplica::Options{.omega = CeOmegaConfig{},
+                                     .consensus = LogConsensusConfig{},
+                                     .sharded = ShardedReplicaConfig{}}));
   }
   NemesisConfig nc;
   nc.seed = 99;
@@ -132,8 +133,9 @@ TEST(NemesisKv, ReplicatedStoreConvergesThroughChaos) {
   sim.start();
   sim.run_until(120 * kSecond);
   for (auto* r : replicas) {
-    EXPECT_EQ(r->store().applied(), 50u);
-    EXPECT_EQ(r->store().digest(), replicas[0]->store().digest());
+    EXPECT_EQ(r->group(0).store().applied(), 50u);
+    EXPECT_EQ(r->group(0).store().digest(),
+              replicas[0]->group(0).store().digest());
   }
 }
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "net/topology.h"
-#include "rsm/replica.h"
+#include "shard/sharded_replica.h"
 #include "sim/simulator.h"
 
 namespace lls {
@@ -104,16 +104,17 @@ TEST(KvStore, CommandCodecRoundTrip) {
 
 struct Cluster {
   Simulator sim;
-  std::vector<KvReplica*> replicas;
+  std::vector<ShardedKvReplica*> replicas;
 
   explicit Cluster(int n, std::uint64_t seed, LinkFactory links,
                    KvReplicaConfig replica_config = {})
       : sim(SimConfig{n, seed, 10 * kMillisecond}, links) {
     for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
-      replicas.push_back(&sim.emplace_actor<KvReplica>(
-          p, KvReplica::Options{.omega = CeOmegaConfig{},
-                                .consensus = LogConsensusConfig{},
-                                .replica = replica_config}));
+      replicas.push_back(&sim.emplace_actor<ShardedKvReplica>(
+          p, ShardedKvReplica::Options{
+                 .omega = CeOmegaConfig{},
+                 .consensus = LogConsensusConfig{},
+                 .sharded = {.shards = 1, .replica = replica_config}}));
     }
   }
 };
@@ -129,10 +130,10 @@ TEST(KvReplication, AllReplicasConvergeToSameState) {
   });
   c.sim.start();
   c.sim.run_until(20 * kSecond);
-  auto digest = c.replicas[0]->store().digest();
+  auto digest = c.replicas[0]->group(0).store().digest();
   for (auto* r : c.replicas) {
-    EXPECT_EQ(r->store().digest(), digest);
-    EXPECT_EQ(r->store().applied(), 3u);
+    EXPECT_EQ(r->group(0).store().digest(), digest);
+    EXPECT_EQ(r->group(0).store().applied(), 3u);
   }
 }
 
@@ -168,11 +169,12 @@ TEST(KvReplication, ConcurrentSubmissionsConvergeEvenIfReordered) {
   });
   c.sim.start();
   c.sim.run_until(30 * kSecond);
-  auto it = c.replicas[0]->store().data().find("seq");
-  ASSERT_NE(it, c.replicas[0]->store().data().end());
+  auto it = c.replicas[0]->group(0).store().data().find("seq");
+  ASSERT_NE(it, c.replicas[0]->group(0).store().data().end());
   EXPECT_EQ(it->second.size(), 10u);
   for (auto* r : c.replicas) {
-    EXPECT_EQ(r->store().digest(), c.replicas[0]->store().digest());
+    EXPECT_EQ(r->group(0).store().digest(),
+              c.replicas[0]->group(0).store().digest());
   }
 }
 
@@ -189,8 +191,8 @@ TEST(KvReplication, FifoSessionModePreservesClientOrder) {
   });
   c.sim.start();
   c.sim.run_until(60 * kSecond);
-  auto it = c.replicas[0]->store().data().find("seq");
-  ASSERT_NE(it, c.replicas[0]->store().data().end());
+  auto it = c.replicas[0]->group(0).store().data().find("seq");
+  ASSERT_NE(it, c.replicas[0]->group(0).store().data().end());
   EXPECT_EQ(it->second, "0123456789");
 }
 
@@ -212,15 +214,15 @@ TEST(KvReplication, SurvivesLeaderCrashWithExactlyOnceApply) {
 
   // Every live replica applied each of the 30 appends exactly once.
   for (ProcessId p = 1; p < 5; ++p) {
-    const auto& data = c.replicas[p]->store().data();
+    const auto& data = c.replicas[p]->group(0).store().data();
     auto it = data.find("tape");
     ASSERT_NE(it, data.end()) << "replica " << p;
     EXPECT_EQ(it->second.size(), 30u) << "replica " << p;
   }
   // Convergence.
-  auto digest = c.replicas[1]->store().digest();
+  auto digest = c.replicas[1]->group(0).store().digest();
   for (ProcessId p = 2; p < 5; ++p) {
-    EXPECT_EQ(c.replicas[p]->store().digest(), digest);
+    EXPECT_EQ(c.replicas[p]->group(0).store().digest(), digest);
   }
 }
 
@@ -240,12 +242,12 @@ TEST(KvReplication, HeavyMixedWorkloadConverges) {
   }
   c.sim.start();
   c.sim.run_until(60 * kSecond);
-  auto digest = c.replicas[0]->store().digest();
-  auto applied = c.replicas[0]->store().applied();
+  auto digest = c.replicas[0]->group(0).store().digest();
+  auto applied = c.replicas[0]->group(0).store().applied();
   EXPECT_EQ(applied, 100u);
   for (auto* r : c.replicas) {
-    EXPECT_EQ(r->store().digest(), digest);
-    EXPECT_EQ(r->store().applied(), applied);
+    EXPECT_EQ(r->group(0).store().digest(), digest);
+    EXPECT_EQ(r->group(0).store().applied(), applied);
   }
 }
 
@@ -284,10 +286,10 @@ TEST(KvBatching, BatchedBurstAppliesEverythingOnce) {
   c.sim.start();
   c.sim.run_until(30 * kSecond);
   for (auto* r : c.replicas) {
-    auto it = r->store().data().find("tape");
-    ASSERT_NE(it, r->store().data().end());
+    auto it = r->group(0).store().data().find("tape");
+    ASSERT_NE(it, r->group(0).store().data().end());
     EXPECT_EQ(it->second.size(), 40u);
-    EXPECT_EQ(r->store().applied(), 40u);
+    EXPECT_EQ(r->group(0).store().applied(), 40u);
   }
 }
 
@@ -318,8 +320,9 @@ TEST(KvBatching, BatchingUsesFewerConsensusInstancesUnderBurst) {
     });
     c.sim.start();
     c.sim.run_until(30 * kSecond);
-    EXPECT_EQ(c.replicas[1]->store().applied(), 60u);
-    return c.replicas[1]->consensus().first_unknown();  // instances used
+    EXPECT_EQ(c.replicas[1]->group(0).store().applied(), 60u);
+    // Instances used.
+    return c.replicas[1]->group(0).consensus().first_unknown();
   };
   Instance unbatched = run(1);
   Instance batched = run(16);

@@ -2,12 +2,17 @@
 // Durations are kept short; assertions allow generous scheduling slack.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,7 +21,7 @@
 
 #include "net/topology.h"
 #include "omega/ce_omega.h"
-#include "rsm/replica.h"
+#include "shard/sharded_replica.h"
 #include "runtime/event_loop.h"
 #include "runtime/thread_runtime.h"
 #include "runtime/udp_runtime.h"
@@ -167,11 +172,12 @@ TEST(ThreadCluster, FailsOverAfterCrash) {
 
 TEST(ThreadCluster, ReplicatedKvEndToEnd) {
   ThreadCluster cluster({3, 4}, make_all_timely({100, 500}));
-  std::vector<KvReplica*> replicas;
+  std::vector<ShardedKvReplica*> replicas;
   for (ProcessId p = 0; p < 3; ++p) {
-    replicas.push_back(&cluster.emplace_actor<KvReplica>(
-        p, KvReplica::Options{.omega = fast_omega(),
-                              .consensus = fast_log()}));
+    replicas.push_back(&cluster.emplace_actor<ShardedKvReplica>(
+        p, ShardedKvReplica::Options{.omega = fast_omega(),
+                                     .consensus = fast_log(),
+                                     .sharded = ShardedReplicaConfig{}}));
   }
   cluster.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -192,7 +198,7 @@ TEST(ThreadCluster, ReplicatedKvEndToEnd) {
   std::atomic<int> done{0};
   for (ProcessId p = 0; p < 3; ++p) {
     cluster.post(p, [&, p]() {
-      digests[p] = replicas[p]->store().digest();
+      digests[p] = replicas[p]->group(0).store().digest();
       done.fetch_add(1);
     });
   }
@@ -263,6 +269,70 @@ TEST(UdpRuntime, ElectsLeaderOverLocalhost) {
       [&](ProcessId p) { return omegas[p]->leader(); });
   for (auto& node : nodes) node->stop();
   expect_common_live_leader(leaders);
+}
+
+/// Sends one datagram from a fresh, unbound UDP socket to 127.0.0.1:port.
+void send_datagram(std::uint16_t port, const Bytes& frame) {
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const auto sent =
+      ::sendto(fd, frame.data(), frame.size(), 0,
+               reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  ::close(fd);
+  ASSERT_EQ(sent, static_cast<ssize_t>(frame.size()));
+}
+
+/// A UdpNode frame: u32 src + u16 type header, then `body_len` zero bytes.
+Bytes frame_of(ProcessId src, MessageType type, std::size_t body_len) {
+  Bytes frame(sizeof(std::uint32_t) + sizeof(MessageType) + body_len);
+  std::memcpy(frame.data(), &src, sizeof(std::uint32_t));
+  std::memcpy(frame.data() + sizeof(std::uint32_t), &type, sizeof(type));
+  return frame;
+}
+
+TEST(UdpRuntime, MalformedDatagramsAreDroppedAndCounted) {
+  // A body that will not decode used to throw out of the loop thread and
+  // terminate the process. Truncated ALIVE (7 bytes on the wire) and ACCEPT
+  // frames must instead be dropped, counted, and leave the node serving.
+  UdpNodeConfig cfg;
+  cfg.id = 0;
+  cfg.n = 2;
+  cfg.base_port = static_cast<std::uint16_t>(test_port_base() + 8);
+  UdpNode node(cfg, std::make_unique<ShardedKvReplica>(
+                        ShardedKvReplica::Options{
+                            .omega = fast_omega(),
+                            .consensus = fast_log(),
+                            .sharded = ShardedReplicaConfig{}}));
+  node.start();
+  send_datagram(cfg.base_port, frame_of(1, msg_type::kCeOmegaAlive, 1));
+  send_datagram(cfg.base_port, frame_of(1, msg_type::kAccept, 3));
+
+  // Read the counter on the loop thread; each read is also a post() the
+  // node must still answer.
+  auto dropped = [&node]() -> std::uint64_t {
+    std::promise<std::uint64_t> value;
+    std::future<std::uint64_t> got = value.get_future();
+    node.post([&]() {
+      value.set_value(
+          node.obs().registry().counter("udp.malformed_dropped").value());
+    });
+    EXPECT_EQ(got.wait_for(std::chrono::seconds(2)),
+              std::future_status::ready);
+    return got.get();
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::uint64_t count = dropped();
+  while (count < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    count = dropped();
+  }
+  node.stop();
+  EXPECT_EQ(count, 2u);
 }
 
 // --- EventLoop, on a hand-cranked clock -------------------------------------

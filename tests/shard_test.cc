@@ -1,22 +1,31 @@
 // Sharded multi-group consensus tests: the ShardMap partition contract, the
-// group-envelope wire mux, malformed-envelope rejection at the container
-// boundary, client-burst exactly-once across groups, and an end-to-end
-// sharded kv campaign (M = 4, full Nemesis schedule, leader kill allowed).
+// group-envelope wire mux (group 0 bare, groups >= 1 enveloped), malformed-
+// envelope rejection at the container boundary, durable consensus at M = 1,
+// client-burst exactly-once across groups, and an end-to-end sharded kv
+// campaign (M = 4, full Nemesis schedule, leader kill allowed).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
+#include <map>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "client/cluster_client.h"
 #include "common/actor.h"
+#include "consensus/paxos.h"
 #include "net/net_stats.h"
 #include "net/topology.h"
+#include "obs/event.h"
+#include "rsm/command.h"
 #include "shard/shard_map.h"
 #include "shard/sharded_replica.h"
 #include "sim/campaign.h"
 #include "sim/simulator.h"
+#include "testing_util.h"
 
 namespace lls {
 namespace {
@@ -152,6 +161,190 @@ TEST(ShardedReplica, RejectsMalformedEnvelopes) {
   const ProcessId leader = replicas[0]->omega().leader();
   ASSERT_NE(leader, kNoProcess);
   for (auto* r : replicas) EXPECT_EQ(r->omega().leader(), leader);
+}
+
+// --- group 0 on the bare wire -----------------------------------------------
+
+/// Wraps a replica and records what it puts on the wire: bare ACCEPTs, and
+/// the shard of every enveloped ACCEPT.
+class AcceptSpy final : public Actor {
+ public:
+  explicit AcceptSpy(std::unique_ptr<Actor> inner) : inner_(std::move(inner)) {}
+
+  void on_start(Runtime& rt) override {
+    view_ = std::make_unique<View>(*this, rt);
+    inner_->on_start(*view_);
+  }
+  void on_message(Runtime&, ProcessId src, MessageType type,
+                  BytesView payload) override {
+    inner_->on_message(*view_, src, type, payload);
+  }
+  void on_timer(Runtime&, TimerId timer) override {
+    inner_->on_timer(*view_, timer);
+  }
+
+  std::uint64_t bare_accepts = 0;
+  std::map<ShardId, std::uint64_t> enveloped_accepts;
+
+ private:
+  class View final : public Runtime {
+   public:
+    View(AcceptSpy& spy, Runtime& base) : spy_(spy), base_(base) {}
+    [[nodiscard]] ProcessId id() const override { return base_.id(); }
+    [[nodiscard]] int n() const override { return base_.n(); }
+    [[nodiscard]] TimePoint now() const override { return base_.now(); }
+    void send(ProcessId dst, MessageType type, BytesView payload) override {
+      if (type == msg_type::kAccept) ++spy_.bare_accepts;
+      if (type == msg_type::kGroupEnvelope) {
+        const GroupEnvelopeMsg env = GroupEnvelopeMsg::decode(payload);
+        if (env.inner_type == msg_type::kAccept) {
+          ++spy_.enveloped_accepts[env.shard];
+        }
+      }
+      base_.send(dst, type, payload);
+    }
+    TimerId set_timer(Duration delay) override {
+      return base_.set_timer(delay);
+    }
+    void cancel_timer(TimerId timer) override { base_.cancel_timer(timer); }
+    Rng& rng() override { return base_.rng(); }
+    [[nodiscard]] StableStorage* storage() override { return base_.storage(); }
+    [[nodiscard]] obs::Plane& obs() override { return base_.obs(); }
+    [[nodiscard]] BufferPool& pool() override { return base_.pool(); }
+
+   private:
+    AcceptSpy& spy_;
+    Runtime& base_;
+  };
+
+  std::unique_ptr<Actor> inner_;
+  std::unique_ptr<View> view_;
+};
+
+/// Five M-group replicas (each behind an AcceptSpy) plus one client that
+/// submits `n_commands` appends over distinct keys at 2 s.
+struct LoadedCluster {
+  Simulator sim;
+  std::vector<AcceptSpy*> spies;
+  ClusterClient* client = nullptr;
+  const std::uint64_t commands;
+
+  LoadedCluster(int shards, int n_commands)
+      : sim(SimConfig{6, 23, 10 * kMillisecond},
+            make_all_timely({500, 2 * kMillisecond})),
+        commands(static_cast<std::uint64_t>(n_commands)) {
+    ShardedReplicaConfig src;
+    src.shards = shards;
+    src.replica.cluster_n = 5;
+    for (ProcessId p = 0; p < 5; ++p) {
+      spies.push_back(&sim.emplace_actor<AcceptSpy>(
+          p, std::make_unique<ShardedKvReplica>(ShardedKvReplica::Options{
+                 .omega = CeOmegaConfig{},
+                 .consensus = LogConsensusConfig{},
+                 .sharded = src})));
+    }
+    ClusterClientConfig cc;
+    cc.cluster_n = 5;
+    cc.shards = shards;
+    cc.window = static_cast<std::size_t>(n_commands);
+    client = &sim.emplace_actor<ClusterClient>(5, cc);
+    sim.schedule(2 * kSecond, [this, n_commands]() {
+      for (int i = 0; i < n_commands; ++i) {
+        client->submit(KvOp::kAppend, "k" + std::to_string(i), ".");
+      }
+    });
+  }
+
+  /// Runs until every command is acked (or 30 s); true when all were.
+  bool run() {
+    sim.start();
+    while (sim.now() < 30 * kSecond && client->acked() < commands) {
+      sim.run_for(10 * kMillisecond);
+    }
+    return client->acked() == commands;
+  }
+};
+
+TEST(ShardedReplica, SingleGroupSendsNoEnvelopes) {
+  // M = 1 is the unsharded replica: its consensus traffic is byte-for-byte
+  // the bare 0x02xx protocol, with no envelope on any frame.
+  LoadedCluster c(/*shards=*/1, /*n_commands=*/32);
+  std::map<MessageType, std::uint64_t> sent_by_type;
+  obs::Subscription sub = c.sim.plane().bus().subscribe(
+      obs::mask_of(obs::EventType::kSend),
+      [&](const obs::Event& e) { ++sent_by_type[e.mtype]; });
+  ASSERT_TRUE(c.run());
+  EXPECT_EQ(sent_by_type[msg_type::kGroupEnvelope], 0u);
+  EXPECT_GT(sent_by_type[msg_type::kAccept], 0u);
+  std::uint64_t bare_accepts = 0;
+  for (const AcceptSpy* spy : c.spies) {
+    bare_accepts += spy->bare_accepts;
+    EXPECT_TRUE(spy->enveloped_accepts.empty());
+  }
+  EXPECT_EQ(bare_accepts, sent_by_type[msg_type::kAccept]);
+}
+
+TEST(ShardedReplica, GroupZeroTravelsBareOthersEnveloped) {
+  constexpr int kShards = 4;
+  LoadedCluster c(kShards, /*n_commands=*/64);
+  ASSERT_TRUE(c.run());
+  std::uint64_t bare = 0;
+  std::array<std::uint64_t, kShards> enveloped{};
+  for (const AcceptSpy* spy : c.spies) {
+    bare += spy->bare_accepts;
+    for (const auto& [shard, count] : spy->enveloped_accepts) {
+      ASSERT_LT(shard, kShards);
+      enveloped[shard] += count;
+    }
+  }
+  EXPECT_GT(bare, 0u);          // group 0's ACCEPTs leave bare...
+  EXPECT_EQ(enveloped[0], 0u);  // ...and never in an envelope
+  for (int g = 1; g < kShards; ++g) {
+    EXPECT_GT(enveloped[static_cast<std::size_t>(g)], 0u) << "shard " << g;
+  }
+}
+
+TEST(ShardedReplica, BareConsensusMessageReachesGroupZero) {
+  testing::FakeRuntime rt(/*id=*/0, /*n=*/3);
+  ShardedKvReplica replica(ShardedKvReplica::Options{
+      .omega = CeOmegaConfig{},
+      .consensus = LogConsensusConfig{},
+      .sharded = {.shards = 2, .replica = KvReplicaConfig{}}});
+  replica.on_start(rt);
+  rt.clear_sent();
+
+  Command cmd;
+  cmd.origin = 1;
+  cmd.seq = 1;
+  cmd.op = KvOp::kPut;
+  cmd.key = "k";
+  cmd.value = "v";
+  CommandBatch batch;
+  batch.commands.push_back(cmd);
+  const Bytes value = batch.encode();
+  replica.on_message(rt, /*src=*/1, msg_type::kDecide,
+                     DecideMsg{0, WireBlob::ref(value)}.encode());
+
+  EXPECT_TRUE(replica.group(0).consensus().decision(0).has_value());
+  EXPECT_FALSE(replica.group(1).consensus().decision(0).has_value());
+  EXPECT_EQ(replica.group(0).applied_count(), 1u);
+  // Group 0 answers bare too.
+  EXPECT_EQ(rt.count_sent(1, msg_type::kDecideAck), 1);
+  EXPECT_EQ(rt.count_sent(1, msg_type::kGroupEnvelope), 0);
+  EXPECT_EQ(replica.envelopes_rejected(), 0u);
+}
+
+TEST(ShardedReplica, DurableConsensusOnlyAtOneGroup) {
+  LogConsensusConfig durable;
+  durable.durable = true;
+  auto make = [&](int shards) {
+    return CrKvReplica(CrKvReplica::Options{
+        .omega = CrOmegaConfig{},
+        .consensus = durable,
+        .sharded = {.shards = shards, .replica = KvReplicaConfig{}}});
+  };
+  EXPECT_NO_THROW(make(1));
+  EXPECT_THROW(make(2), std::logic_error);
 }
 
 // --- client burst across shards: exactly-once, coalesced --------------------

@@ -24,8 +24,12 @@
 
 #include "common/buffer_pool.h"
 #include "consensus/paxos.h"
-#include "net/wire.h"
+#include "consensus/rotating_consensus.h"
 #include "net/message.h"
+#include "net/relay.h"
+#include "net/wire.h"
+#include "omega/ce_omega.h"
+#include "omega/cr_omega.h"
 #include "rsm/command.h"
 #include "shard/shard_map.h"
 
@@ -149,6 +153,64 @@ TEST(WireGolden, ClientProtocolMessages) {
   busy.seq = 6;
   busy.queue = 17;
   expect_golden(busy, "060000000000000011000000");
+}
+
+/// Pinned at the hand-rolled FlatWriter codecs these messages had before
+/// they moved onto LLS_WIRE_FIELDS: the move changed no byte.
+TEST(WireGolden, OmegaMessages) {
+  expect_golden(CeOmega::AliveMsg{5, 3},
+                "0500000000000000"
+                "0300000000000000");
+  expect_golden(CeOmega::AccuseMsg{2, 7},
+                "02000000"
+                "0700000000000000");
+  expect_golden(CrLeaderMsg{{1, 0, 4}},
+                "03000000"
+                "0100000000000000"
+                "0000000000000000"
+                "0400000000000000");
+}
+
+TEST(WireGolden, RotatingConsensusMessages) {
+  expect_golden(
+      RotatingConsensus::EstimateMsg{
+          3, 2, 1, Bytes{std::byte{0xAA}, std::byte{0xBB}}},
+      "0300000000000000"
+      "0200000000000000"
+      "0100000000000000"
+      "02000000aabb");
+  expect_golden(RotatingConsensus::EstimateMsg{3, 0, kNoRound, Bytes{}},
+                "0300000000000000"
+                "0000000000000000"
+                "ffffffffffffffff"
+                "00000000");
+  expect_golden(
+      RotatingConsensus::ProposalMsg{4, 5, Bytes{std::byte{0xCC}}},
+      "0400000000000000"
+      "0500000000000000"
+      "01000000cc");
+  expect_golden(RotatingConsensus::AckMsg{6, 7},
+                "0600000000000000"
+                "0700000000000000");
+  expect_golden(
+      RotatingConsensus::DecideMsg{8, Bytes{std::byte{0xDD}, std::byte{0xEE}}},
+      "0800000000000000"
+      "02000000ddee");
+}
+
+TEST(WireGolden, RelayEnvelope) {
+  RelayActor::Envelope env;
+  env.origin = 1;
+  env.seq = 9;
+  env.dst = 3;
+  env.inner_type = 0x0101;
+  env.payload = Bytes{std::byte{0xAB}};
+  expect_golden(env,
+                "01000000"
+                "0900000000000000"
+                "03000000"
+                "0101"
+                "01000000ab");
 }
 
 TEST(WireGolden, ShardEnvelope) {

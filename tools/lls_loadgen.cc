@@ -36,7 +36,6 @@
 #include "flags.h"
 #include "obs/histogram.h"
 #include "rsm/history.h"
-#include "rsm/replica.h"
 #include "runtime/udp_runtime.h"
 #include "shard/sharded_replica.h"
 
@@ -68,7 +67,7 @@ void usage(const char* argv0) {
       "  --value-size=B             written value bytes\n"
       "  --batches=1,8,32           replica max_batch sweep\n"
       "  --shards=M                 host M consensus groups per replica\n"
-      "                             (default 0 = legacy unsharded stack)\n"
+      "                             (default 1; must be >= 1)\n"
       "  --max-inflight=W           per-group proposer pipeline window\n"
       "                             (default 0 = unbounded)\n"
       "  --no-coalesce              one wire message per client attempt\n"
@@ -177,9 +176,15 @@ bool parse_args(int argc, char** argv, CliOptions* opt) {
     std::fprintf(stderr, "--n and --clients must be positive\n");
     return false;
   }
-  if (opt->load.shards < 0) {
-    std::fprintf(stderr, "--shards must be >= 0\n");
+  if (opt->load.shards < 1) {
+    std::fprintf(stderr, "--shards must be >= 1\n");
     return false;
+  }
+  for (int m : opt->shard_sweep) {
+    if (m < 1) {
+      std::fprintf(stderr, "--shard-sweep counts must be >= 1\n");
+      return false;
+    }
   }
   return true;
 }
@@ -308,7 +313,7 @@ int run_sim(const CliOptions& opt) {
     for (const auto& e : r.verify_errors) {
       std::fprintf(stderr, "verify: %s\n", e.c_str());
     }
-    if (!r.shard_stats.empty()) {
+    if (r.shard_stats.size() > 1) {
       std::printf("batch=%zu per-shard breakdown (imbalance %.2f):\n", batch,
                   r.shard_imbalance);
       for (std::size_t g = 0; g < r.shard_stats.size(); ++g) {
@@ -410,6 +415,7 @@ struct UdpRunStats {
   // Data-plane counters summed over every node (replicas + clients).
   std::uint64_t datagrams_sent = 0;
   std::uint64_t datagrams_received = 0;
+  std::uint64_t malformed_dropped = 0;
   std::uint64_t sendmmsg_calls = 0;
   std::uint64_t recvmmsg_calls = 0;
   std::uint64_t pool_hits = 0;
@@ -449,24 +455,17 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
     if (p == 0) nc.stats_port = opt.stats_port;
     CeOmegaConfig oc;
     oc.lease_duration = opt.load.lease_reads ? opt.load.lease_duration : 0;
-    std::unique_ptr<Actor> actor;
-    if (shards > 0) {
-      ShardedReplicaConfig sc;
-      sc.shards = shards;
-      sc.replica = rc;
-      actor = std::make_unique<ShardedKvReplica>(ShardedKvReplica::Options{
-          .omega = oc, .consensus = lc, .sharded = sc});
-    } else {
-      actor = std::make_unique<KvReplica>(KvReplica::Options{
-          .omega = oc, .consensus = lc, .replica = rc});
-    }
-    nodes.push_back(std::make_unique<UdpNode>(nc, std::move(actor)));
+    nodes.push_back(std::make_unique<UdpNode>(
+        nc, std::make_unique<ShardedKvReplica>(ShardedKvReplica::Options{
+                .omega = oc,
+                .consensus = lc,
+                .sharded = {.shards = shards, .replica = rc}})));
   }
   for (int c = 0; c < opt.load.clients; ++c) {
     ClusterClientConfig cc;
     cc.cluster_n = cluster_n;
     cc.window = static_cast<std::size_t>(opt.load.closed_outstanding);
-    cc.shards = shards > 0 ? shards : 1;
+    cc.shards = shards;
     cc.coalesce = opt.load.coalesce;
     cc.lease_reads = opt.load.lease_reads;
     UdpNodeConfig nc;
@@ -580,16 +579,10 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
   }
   std::uint64_t reads_local = 0, reads_ordered = 0;
   for (ProcessId p = 0; p < static_cast<ProcessId>(cluster_n); ++p) {
-    Actor& a = nodes[static_cast<std::size_t>(p)]->actor();
-    if (shards > 0) {
-      auto& r = static_cast<ShardedKvReplica&>(a);
-      reads_local += r.reads_local();
-      reads_ordered += r.reads_ordered();
-    } else {
-      auto& r = static_cast<KvReplica&>(a);
-      reads_local += r.reads_local();
-      reads_ordered += r.reads_ordered();
-    }
+    auto& r = static_cast<ShardedKvReplica&>(
+        nodes[static_cast<std::size_t>(p)]->actor());
+    reads_local += r.reads_local();
+    reads_ordered += r.reads_ordered();
   }
   const double secs = static_cast<double>(duration_ms) / 1e3;
   std::printf("acked %llu  timed_out %llu  retries %llu  redirects %llu\n",
@@ -641,6 +634,7 @@ UdpRunStats run_udp_once(const CliOptions& opt, int shards,
     obs::Registry& reg = node->obs().registry();
     stats.datagrams_sent += reg.counter("udp.datagrams_sent").value();
     stats.datagrams_received += reg.counter("udp.datagrams_received").value();
+    stats.malformed_dropped += reg.counter("udp.malformed_dropped").value();
     stats.sendmmsg_calls += reg.counter("udp.sendmmsg_calls").value();
     stats.recvmmsg_calls += reg.counter("udp.recvmmsg_calls").value();
     stats.pool_hits += reg.counter("udp.pool_hits").value();
@@ -725,6 +719,7 @@ int run_udp(const CliOptions& opt) {
       json.key("reads_ordered").value(r.reads_ordered);
       json.key("datagrams_sent").value(r.datagrams_sent);
       json.key("datagrams_received").value(r.datagrams_received);
+      json.key("malformed_dropped").value(r.malformed_dropped);
       json.key("sendmmsg_calls").value(r.sendmmsg_calls);
       json.key("recvmmsg_calls").value(r.recvmmsg_calls);
       json.key("datagrams_per_sendmmsg")
