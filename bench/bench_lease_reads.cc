@@ -41,8 +41,8 @@ void add_row(Table& table, const char* label, const LoadgenResult& r) {
                  format("%llu", (unsigned long long)r.reads.acked),
                  format("%llu", (unsigned long long)r.writes.acked),
                  format("%.0f%%", 100.0 * r.lease_read_ratio),
-                 format("%.2f", r.reads.consensus_msgs_per_op),
-                 format("%.2f", r.writes.consensus_msgs_per_op),
+                 format("%.2f", *r.reads.consensus_msgs_per_op),
+                 format("%.2f", *r.writes.consensus_msgs_per_op),
                  format("%.2f", r.reads.p50_ms),
                  format("%.2f", r.writes.p50_ms),
                  format("%.0f", r.throughput)});
@@ -55,8 +55,8 @@ int main() {
          "leased reads answer locally; writes still pay the ordered path");
 
   // Section 1: head-to-head at a 90% read mix.
-  LoadgenResult off = run_sim_loadgen(base_config(0.1, false));
-  LoadgenResult on = run_sim_loadgen(base_config(0.1, true));
+  LoadgenResult off = run_loadgen(base_config(0.1, false));
+  LoadgenResult on = run_loadgen(base_config(0.1, true));
   Table table({"leases", "reads", "writes", "local", "cmsg/read",
                "cmsg/write", "read p50(ms)", "write p50(ms)", "ops/s"});
   add_row(table, "off", off);
@@ -72,22 +72,22 @@ int main() {
   Table sweep({"write ratio", "local", "cmsg/read", "cmsg/op(all)",
                "ops/s"});
   for (double wr : {0.5, 0.25, 0.1, 0.02}) {
-    LoadgenResult r = run_sim_loadgen(base_config(wr, true));
+    LoadgenResult r = run_loadgen(base_config(wr, true));
     sweep.add_row({format("%.2f", wr),
                    format("%.0f%%", 100.0 * r.lease_read_ratio),
-                   format("%.2f", r.reads.consensus_msgs_per_op),
-                   format("%.2f", r.consensus_msgs_per_cmd),
+                   format("%.2f", *r.reads.consensus_msgs_per_op),
+                   format("%.2f", *r.consensus_msgs_per_cmd),
                    format("%.0f", r.throughput)});
   }
   sweep.print();
 
   // Regression guards.
   bool ok = true;
-  if (off.reads.consensus_msgs_per_op < 2.0) {
+  if (*off.reads.consensus_msgs_per_op < 2.0) {
     std::fprintf(stderr,
                  "GUARD FAILED: ordered baseline reads look free "
                  "(%.2f cmsg/read) — comparison is vacuous\n",
-                 off.reads.consensus_msgs_per_op);
+                 *off.reads.consensus_msgs_per_op);
     ok = false;
   }
   if (on.lease_read_ratio < 0.9) {
@@ -96,11 +96,11 @@ int main() {
                  100.0 * on.lease_read_ratio);
     ok = false;
   }
-  if (on.reads.consensus_msgs_per_op > 0.5) {
+  if (*on.reads.consensus_msgs_per_op > 0.5) {
     std::fprintf(stderr,
                  "GUARD FAILED: leased reads cost %.2f consensus msgs/read "
                  "(want ~0)\n",
-                 on.reads.consensus_msgs_per_op);
+                 *on.reads.consensus_msgs_per_op);
     ok = false;
   }
   if (on.writes.throughput < 0.75 * off.writes.throughput) {
@@ -114,8 +114,8 @@ int main() {
     std::printf(
         "\nGUARD OK: baseline reads %.2f cmsg/read; leased reads %.0f%% "
         "local at %.2f cmsg/read; writes %.0f -> %.0f acked/s.\n",
-        off.reads.consensus_msgs_per_op, 100.0 * on.lease_read_ratio,
-        on.reads.consensus_msgs_per_op, off.writes.throughput,
+        *off.reads.consensus_msgs_per_op, 100.0 * on.lease_read_ratio,
+        *on.reads.consensus_msgs_per_op, off.writes.throughput,
         on.writes.throughput);
   }
   return ok ? 0 : 1;

@@ -8,7 +8,7 @@
 // cost stays flat (the envelope mux adds bytes, not messages, and the one
 // oracle serves every group).
 //
-// The bench drives the closed-loop client workload (run_sim_loadgen) at
+// The bench drives the closed-loop client workload (run_loadgen) at
 // M in {1, 2, 4} over n = 5 replicas and guards the two claims:
 //   * aggregate throughput at M=4 is >= 3x the M=1 baseline;
 //   * consensus messages per decision at M=4 is within 15% of M=1.
@@ -53,9 +53,9 @@ void emit_run_json(Json& json, int shards, const LoadgenResult& r) {
   json.key("acked").value(r.acked);
   json.key("p50_ms").value(r.p50_ms);
   json.key("p99_ms").value(r.p99_ms);
-  json.key("consensus_msgs").value(r.consensus_msgs);
+  json.key("consensus_msgs").value(*r.consensus_msgs);
   json.key("consensus_decisions").value(r.consensus_decisions);
-  json.key("consensus_msgs_per_decision").value(r.consensus_msgs_per_decision);
+  json.key("consensus_msgs_per_decision").value(*r.consensus_msgs_per_decision);
   json.key("client_batches").value(r.client_batches);
   json.key("client_batched_requests").value(r.client_batched_requests);
   json.key("shard_imbalance").value(r.shard_imbalance);
@@ -112,13 +112,13 @@ int main(int argc, char** argv) {
   for (int shards : {1, 2, 4}) {
     LoadgenConfig cfg = base_config(seed);
     cfg.shards = shards;
-    LoadgenResult r = run_sim_loadgen(cfg);
+    LoadgenResult r = run_loadgen(cfg);
     const double speedup =
         outcomes.empty() ? 1.0 : r.throughput / outcomes.front().second.throughput;
     table.add_row({format("%d", shards), format("%.0f", r.throughput),
                    format("%.2fx", speedup), format("%.2f", r.p50_ms),
                    format("%.2f", r.p99_ms),
-                   format("%.2f", r.consensus_msgs_per_decision),
+                   format("%.2f", *r.consensus_msgs_per_decision),
                    format("%.2f", r.shard_imbalance)});
     emit_run_json(json, shards, r);
     outcomes.emplace_back(shards, r);
@@ -134,10 +134,10 @@ int main(int argc, char** argv) {
   const LoadgenResult& m4 = outcomes.back().second;
   const double speedup = m1.throughput > 0 ? m4.throughput / m1.throughput : 0;
   const double mpd_delta =
-      m1.consensus_msgs_per_decision > 0
-          ? std::abs(m4.consensus_msgs_per_decision -
-                     m1.consensus_msgs_per_decision) /
-                m1.consensus_msgs_per_decision
+      *m1.consensus_msgs_per_decision > 0
+          ? std::abs(*m4.consensus_msgs_per_decision -
+                     *m1.consensus_msgs_per_decision) /
+                *m1.consensus_msgs_per_decision
           : 1.0;
   bool ok = true;
   if (speedup < 3.0) {
@@ -149,8 +149,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "GUARD FAILED: msgs/decision drifted %.1f%% from M=1 "
                  "(%.2f -> %.2f), budget 15%%\n",
-                 mpd_delta * 100, m1.consensus_msgs_per_decision,
-                 m4.consensus_msgs_per_decision);
+                 mpd_delta * 100, *m1.consensus_msgs_per_decision,
+                 *m4.consensus_msgs_per_decision);
     ok = false;
   }
   for (const auto& [shards, r] : outcomes) {

@@ -102,6 +102,7 @@ class Json {
   Json& value(std::int64_t v) { comma(); out_ += format("%lld", (long long)v); return *this; }
   Json& value(int v) { return value(static_cast<std::int64_t>(v)); }
   Json& value(bool v) { comma(); out_ += v ? "true" : "false"; return *this; }
+  Json& null() { comma(); out_ += "null"; return *this; }
 
   [[nodiscard]] const std::string& str() const { return out_; }
 

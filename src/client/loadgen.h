@@ -1,14 +1,17 @@
 // Workload driver for the client subsystem: many ClusterClient sessions
-// against a simulated replica cluster, with open- or closed-loop arrival,
-// key skew, a read/write mix, latency percentiles and an optional
-// exactly-once audit under an injected leader crash.
+// against a replicated KV cluster, with open- or closed-loop arrival, key
+// skew, a read/write mix, latency percentiles and an optional exactly-once
+// audit under an injected leader crash.
 //
-// The driver is deterministic: a run is a pure function of LoadgenConfig
-// (including the seed), so every reported number — and every audit
-// violation — can be replayed bit-for-bit from the command line.
+// One driver serves two hosts (LoadgenHost): the deterministic simulator,
+// where a run is a pure function of LoadgenConfig (including the seed) and
+// every number and audit violation replays bit-for-bit, and UDP sockets on
+// loopback, where the same actors run one loop thread per process and the
+// clock is the wall clock. Both measure the same window with the same code.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,13 +34,17 @@ struct LoadgenConfig {
 
   int keys = 64;             ///< key space size ("k0".."k<keys-1>")
   double zipf = 0.0;         ///< key skew exponent; 0 = uniform
-  double write_ratio = 0.5;  ///< fraction of requests that mutate
-  std::size_t value_size = 16;  ///< written value bytes (non-verify mode)
+  /// Fraction of requests that mutate: a kPut of `value_size` bytes, or in
+  /// verify mode a kAppend of one unique token.
+  double write_ratio = 0.5;
+  std::size_t value_size = 16;
 
   std::uint64_t seed = 1;
 
   TimePoint start = 2 * kSecond;   ///< load begins (lets election settle)
-  Duration warmup = 1 * kSecond;   ///< excluded from latency/throughput
+  /// Ops invoked before start + warmup are excluded from latency and
+  /// throughput; so are ops invoked after the load window.
+  Duration warmup = 1 * kSecond;
   Duration duration = 10 * kSecond;  ///< load window length
   Duration drain = 20 * kSecond;     ///< max extra time to drain in-flight
 
@@ -73,12 +80,13 @@ struct LoadgenConfig {
   bool lease_reads = false;
   /// Lease window (consensus fence duration and the omega hint horizon).
   Duration lease_duration = 200 * kMillisecond;
-  /// Conservative clock slack subtracted from remote support. Keep 0 on the
-  /// simulator (one global clock); set to a few ms on real UDP runs.
+  /// Conservative clock slack subtracted from remote support. 0 is exact on
+  /// the simulator (one global clock); the UDP host raises it to at least
+  /// 5 ms, since real clocks drift.
   Duration lease_clock_margin = 0;
 
   /// Crash whatever the cluster believes is the leader at this virtual
-  /// time (0 disables). The load must ride through the failover.
+  /// time (0 disables). The load must ride through the failover. Sim only.
   TimePoint crash_leader_at = 0;
 
   /// Exactly-once audit: writes become appends of per-request unique
@@ -89,17 +97,20 @@ struct LoadgenConfig {
   /// When non-empty, the run dumps its observability plane as artifacts:
   /// `<prefix>.prom` (Prometheus text), `<prefix>.json` (metrics snapshot)
   /// and `<prefix>.trace.jsonl` (control-plane event trace, including
-  /// election-stabilization spans and per-instance consensus spans).
+  /// election-stabilization spans and per-instance consensus spans). Sim
+  /// only: each UDP node has its own plane, scraped live via stats_port.
   std::string artifacts_prefix;
 
   /// When non-empty, the run records every client op to this `.hist` file
   /// (streaming: invocations at submit, responses as they complete; timed-out
-  /// ops stay pending), ready for offline checking with `lls_check`.
+  /// ops stay pending), ready for offline checking with `lls_check`. Times
+  /// come from the host clock, stamped before submit and at completion, so
+  /// every recorded interval contains the true one.
   std::string hist_path;
 };
 
 struct LoadgenResult {
-  // Volume.
+  // Volume (whole run).
   std::uint64_t submitted = 0;
   std::uint64_t acked = 0;
   std::uint64_t timed_out = 0;
@@ -108,9 +119,10 @@ struct LoadgenResult {
   std::uint64_t busy_replies = 0;
   std::uint64_t target_rotations = 0;
 
-  // Latency over completions invoked after warmup, milliseconds.
+  // Latency over acked ops invoked in [start + warmup, start + duration),
+  // milliseconds.
   double p50_ms = 0, p90_ms = 0, p99_ms = 0, mean_ms = 0, max_ms = 0;
-  /// Acked requests per second over the measured window.
+  /// Those ops per second of that window.
   double throughput = 0;
 
   /// Per-op-class breakdown over the measured window: reads (kGet) and
@@ -124,8 +136,8 @@ struct LoadgenResult {
     double p50_ms = 0, p90_ms = 0, p99_ms = 0, mean_ms = 0, max_ms = 0;
     /// Consensus-class messages attributed to one op of this class (reads
     /// split local/ordered by the replicas' own counters; local reads cost
-    /// zero consensus messages by construction).
-    double consensus_msgs_per_op = 0;
+    /// zero consensus messages by construction). Sim only.
+    std::optional<double> consensus_msgs_per_op;
   };
   OpStats reads;
   OpStats writes;
@@ -136,13 +148,29 @@ struct LoadgenResult {
   /// reads_local / (reads_local + reads_ordered); 0 when leases are off.
   double lease_read_ratio = 0;
 
-  // Message economy (whole run).
-  std::uint64_t omega_msgs = 0;
-  std::uint64_t consensus_msgs = 0;
-  std::uint64_t client_msgs = 0;
+  // Message economy by class (whole run). Only the simulator's network
+  // counts messages by type; a UDP node counts datagrams, so on UDP these
+  // are empty.
+  std::optional<std::uint64_t> omega_msgs;
+  std::optional<std::uint64_t> consensus_msgs;
+  std::optional<std::uint64_t> client_msgs;
   /// Consensus-class messages per acked command — the batching dividend.
-  double consensus_msgs_per_cmd = 0;
-  double total_msgs_per_cmd = 0;
+  std::optional<double> consensus_msgs_per_cmd;
+  std::optional<double> total_msgs_per_cmd;
+
+  // Datagram plane, summed over every node (replicas and clients). UDP
+  // only: empty on the simulator.
+  std::optional<std::uint64_t> datagrams_sent;
+  std::optional<std::uint64_t> datagrams_received;
+  std::optional<std::uint64_t> malformed_dropped;
+  std::optional<std::uint64_t> sendmmsg_calls;
+  std::optional<std::uint64_t> recvmmsg_calls;
+  std::optional<std::uint64_t> pool_hits;
+  std::optional<std::uint64_t> pool_misses;
+
+  /// Omega leader changes summed over the replicas, whole run: every
+  /// replica's first leader counts, so a run without flaps reads about n.
+  std::uint64_t leader_changes = 0;
 
   // Replica-side accounting (summed over replicas).
   std::uint64_t duplicates_suppressed = 0;
@@ -159,7 +187,7 @@ struct LoadgenResult {
   // groups (no-op fillers included), taken as the max view across alive
   // replicas per group.
   std::uint64_t consensus_decisions = 0;
-  double consensus_msgs_per_decision = 0;
+  std::optional<double> consensus_msgs_per_decision;  ///< sim only
 
   /// Per-shard breakdown over the measured window (size = shard count).
   /// Zipf-skewed keyspaces show up here as hot shards.
@@ -182,8 +210,24 @@ struct LoadgenResult {
   std::vector<std::string> verify_errors;
 };
 
-/// Runs the workload on the deterministic simulator. Pure function of
-/// `config`.
-LoadgenResult run_sim_loadgen(const LoadgenConfig& config);
+/// Where run_loadgen runs the cluster.
+struct LoadgenHost {
+  /// false: the deterministic simulator. true: one UdpNode (socket and loop
+  /// thread) per replica and client, on 127.0.0.1.
+  bool udp = false;
+  std::uint16_t udp_base_port = 47400;  ///< process p binds base + p
+  std::uint16_t stats_port = 0;  ///< replica 0 serves /metrics here; 0 = off
+};
+
+/// Names the first LoadgenConfig field `host` cannot honour, or returns ""
+/// when it honours them all.
+std::string loadgen_unsupported(const LoadgenConfig& config,
+                                const LoadgenHost& host);
+
+/// Runs the workload on `host`. On the simulator the result is a pure
+/// function of `config`. Throws std::invalid_argument when
+/// loadgen_unsupported() is not empty.
+LoadgenResult run_loadgen(const LoadgenConfig& config,
+                          const LoadgenHost& host = {});
 
 }  // namespace lls

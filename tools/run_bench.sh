@@ -10,8 +10,12 @@
 #                       vs rotating coordinator (paper claim T3)
 #   BENCH_m1.json     — wire codec micro-benchmarks (legacy vs pooled
 #                       flat encode, allocs/op counters)
-#   BENCH_shard_udp.json — UDP loopback shard-scaling sweep with batched
-#                       (sendmmsg/recvmmsg) datagram I/O
+#   BENCH_shard_udp.json — the same driver over UDP loopback: a shard
+#                       sweep {1,2,4} with batched (sendmmsg/recvmmsg)
+#                       datagram I/O and the exactly-once audit enabled
+#
+# Both lls_loadgen files share one schema (a field the host cannot measure
+# is null) and record git sha, build type, nproc and date.
 #
 #   tools/run_bench.sh [build-dir]
 #
@@ -40,7 +44,7 @@ cmake --build "$build" --target lls_loadgen bench_t3_consensus bench_m1_micro \
 
 "$build/tools/lls_loadgen" \
   --udp --clients=4 --outstanding=1 \
-  --shard-sweep=1,2,4 --duration-ms=5000 --warmup-ms=1000 \
+  --shards=1,2,4 --duration-ms=5000 --warmup-ms=1000 --verify \
   --json="$repo/BENCH_shard_udp.json"
 
 echo "wrote $repo/BENCH_client.json, $repo/BENCH_t3.json," \
