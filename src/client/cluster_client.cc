@@ -51,7 +51,6 @@ std::uint64_t ClusterClient::enqueue_command(Command cmd, Callback cb) {
   f.cmd = std::move(cmd);
   f.cmd.origin = self_;
   f.cmd.seq = session_.next_seq();
-  f.encoded = f.cmd.encode();
   f.shard = map_.shard_of(f.cmd.key);
   f.cb = std::move(cb);
   f.invoked = rt_->now();
@@ -65,6 +64,12 @@ void ClusterClient::pump(Runtime& rt) {
   while (inflight_.size() < config_.window && !queue_.empty()) {
     InFlight f = std::move(queue_.front());
     queue_.pop_front();
+    // Stamp the watermark as the command enters the window: everything at
+    // or below it has completed before this command exists, which is what
+    // lets replicas prune at its log position. Encoded once, so every
+    // retry is byte-identical.
+    f.cmd.ack_upto = session_.ack_upto();
+    f.encoded = f.cmd.encode();
     auto [it, inserted] = inflight_.emplace(f.cmd.seq, std::move(f));
     (void)inserted;
     mark_for_send(rt, it->second);
@@ -92,12 +97,9 @@ void ClusterClient::note_attempt(Runtime& rt, InFlight& f) {
 }
 
 void ClusterClient::send_attempt(Runtime& rt, InFlight& f) {
-  ClientRequestMsg req;
-  req.seq = f.cmd.seq;
-  req.ack_upto = session_.ack_upto();
   // Borrow the cached encoding (stable across retries) and frame it in a
   // pooled buffer: a retry allocates nothing.
-  req.command = WireBlob::ref(f.encoded);
+  ClientRequestMsg req{WireBlob::ref(f.encoded)};
   rt.send(shard_target_[f.shard], msg_type::kClientRequest,
           wire::encode_pooled(rt.pool(), req).view());
   note_attempt(rt, f);
@@ -118,20 +120,16 @@ void ClusterClient::flush_sends(Runtime& rt) {
   for (auto& [dst, requests] : by_dst) {
     if (requests.size() == 1) {
       InFlight& f = *requests.front();
-      ClientRequestMsg req;
-      req.seq = f.cmd.seq;
-      req.ack_upto = session_.ack_upto();
-      req.command = WireBlob::ref(f.encoded);
+      ClientRequestMsg req{WireBlob::ref(f.encoded)};
       rt.send(dst, msg_type::kClientRequest,
               wire::encode_pooled(rt.pool(), req).view());
       note_attempt(rt, f);
       continue;
     }
     ClientRequestBatchMsg batch;
-    batch.ack_upto = session_.ack_upto();
     batch.items.reserve(requests.size());
     for (InFlight* f : requests) {
-      batch.items.push_back({f->cmd.seq, WireBlob::ref(f->encoded)});
+      batch.items.push_back({WireBlob::ref(f->encoded)});
       note_attempt(rt, *f);
     }
     rt.send(dst, msg_type::kClientRequestBatch,

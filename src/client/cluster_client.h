@@ -151,7 +151,7 @@ class ClusterClient final : public Actor {
  private:
   struct InFlight {
     Command cmd;
-    Bytes encoded;  // Command::encode(), reused across retries
+    Bytes encoded;  // Command::encode() at window entry, reused by retries
     ShardId shard = 0;
     Callback cb;
     TimePoint invoked = 0;

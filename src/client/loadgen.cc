@@ -558,6 +558,14 @@ class Workload {
       result.envelopes_rejected += r.envelopes_rejected();
       result.reads_local += r.reads_local();
       result.reads_ordered += r.reads_ordered();
+      const KvHeldState held = r.held_state();
+      auto keep_max = [](std::uint64_t& slot, std::size_t v) {
+        slot = std::max<std::uint64_t>(slot, v);
+      };
+      keep_max(result.accepted_pairs_held, held.accepted_pairs);
+      keep_max(result.log_entries_held, held.log_entries);
+      keep_max(result.dedup_entries, held.dedup_entries);
+      keep_max(result.cached_results, held.cached_results);
       for (int g = 0; g < shard_count; ++g) {
         const LogConsensus& cons = r.group(g).consensus();
         result.dup_proposals_suppressed += cons.dup_proposals_suppressed();

@@ -172,6 +172,14 @@ struct LoadgenResult {
   /// replica's first leader counts, so a run without flaps reads about n.
   std::uint64_t leader_changes = 0;
 
+  // Per-write state held when the run ends: each figure is the max over
+  // alive replicas of that replica's total across its groups. All but the
+  // log stay O(clients x window) however long the run.
+  std::uint64_t accepted_pairs_held = 0;
+  std::uint64_t log_entries_held = 0;
+  std::uint64_t dedup_entries = 0;
+  std::uint64_t cached_results = 0;
+
   // Replica-side accounting (summed over replicas).
   std::uint64_t duplicates_suppressed = 0;
   std::uint64_t dup_proposals_suppressed = 0;

@@ -7,7 +7,8 @@
 // timeouts, redirects and leader failover — it is applied to the state
 // machine at most once, and the submission protocol makes it at least once.
 // The session also tracks the contiguous-completion watermark (`ack_upto`)
-// that requests piggyback so replicas can prune their reply caches.
+// that each command carries (Command::ack_upto), so every replica prunes
+// its dedup state and reply cache at the command's log position.
 #pragma once
 
 #include <cstdint>

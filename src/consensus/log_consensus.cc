@@ -444,6 +444,12 @@ void LogConsensus::learn(Runtime& rt, Instance i, BytesView value) {
     return;
   }
   log_[rel] = Bytes(value.begin(), value.end());
+  // `value` may borrow this instance's accepted pair (handle_accept's commit
+  // loop passes pair->value): re-point it at the stored entry before the
+  // pair is dropped, so the retire and pending matches below read live
+  // bytes.
+  value = *log_[rel];
+  acceptor_.forget(i);
   retire_inflight(i, value);
   if (auto it = accept_started_.find(i); it != accept_started_.end()) {
     // Close this instance's propose→decide span (proposer side only: the
@@ -638,6 +644,9 @@ void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
                 .view());
     return;
   }
+  // A retransmitted ACCEPT for an instance already learned: the promise
+  // stands, but the decided entry makes the pair redundant.
+  if (is_decided(msg.instance)) acceptor_.forget(msg.instance);
   if (config_.durable) persist(rt);  // accepted pair is durable state
   if (msg.round > my_round_ && (preparing_ || leader_ready_)) abdicate();
   grant_fence(src, msg.round, rt.now());

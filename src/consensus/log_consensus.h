@@ -170,6 +170,11 @@ class LogConsensus final : public ConsensusActor {
   [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
   [[nodiscard]] Instance log_size() const { return log_base_ + log_.size(); }
   [[nodiscard]] std::size_t log_entries_held() const { return log_.size(); }
+  /// Accepted pairs the acceptor still holds: undecided instances only,
+  /// since learn() drops the pair of every instance it decides.
+  [[nodiscard]] std::size_t accepted_pairs_held() const {
+    return acceptor_.all_accepted().size();
+  }
   [[nodiscard]] const Acceptor& acceptor() const { return acceptor_; }
   [[nodiscard]] ProcessId fence_holder() const { return fence_holder_; }
   [[nodiscard]] TimePoint fence_until() const { return fence_until_; }

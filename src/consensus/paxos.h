@@ -168,6 +168,11 @@ class Acceptor {
     return accepted_;
   }
 
+  /// Drops the pair of one decided instance: once the decided log holds the
+  /// value, that entry answers every reader of the pair, and a PROMISE
+  /// reports it as decided, which is stronger than an accepted pair.
+  void forget(Instance i) { accepted_.erase(i); }
+
   /// Frees acceptor state at and below a decided prefix (log compaction).
   void forget_upto(Instance i) {
     accepted_.erase(accepted_.begin(), accepted_.lower_bound(i));

@@ -64,22 +64,18 @@ inline constexpr MessageType kClientBusy = 0x0313;
 inline constexpr MessageType kClientRequestBatch = 0x0314;
 }  // namespace msg_type
 
-/// One client command in flight. `command` is an rsm Command::encode() blob —
+/// One client command in flight: just the rsm Command::encode() blob —
 /// opaque at this layer, so the net library stays below the RSM in the
-/// dependency order. (origin, seq) of the embedded command must equal
-/// (sending process, `seq`); the replica enforces this, so a client cannot
-/// impersonate another session.
+/// dependency order. The command carries its own (origin, seq) and the
+/// session's ack watermark; the replica drops a command whose origin is not
+/// the sending process, so a client cannot impersonate another session.
 struct ClientRequestMsg {
-  std::uint64_t seq = 0;
-  /// All of this client's sequence numbers <= ack_upto have completed; the
-  /// replica may drop its cached results for them (retry can never ask).
-  std::uint64_t ack_upto = 0;
   /// WireBlob: the client borrows its cached encoded command when sending
   /// (no copy per attempt) and the replica decodes a borrow into the
   /// receive buffer (no copy per delivery). See common/blob.h.
   WireBlob command;
 
-  LLS_WIRE_FIELDS(ClientRequestMsg, seq, ack_upto, command)
+  LLS_WIRE_FIELDS(ClientRequestMsg, command)
 };
 
 /// Result of one applied command (mirrors rsm KvResult field-for-field so
@@ -111,19 +107,16 @@ struct ClientRedirectMsg {
 /// back-to-back — each item is admitted/answered independently — but the
 /// receiving replica may coalesce the newly admitted commands into a single
 /// consensus proposal, collapsing the per-command Θ(n) instance cost (the
-/// unbatched hot path measured by bench_a5_batching). `ack_upto` is shared:
-/// it is a property of the session, not of any one request.
+/// unbatched hot path measured by bench_a5_batching).
 struct ClientRequestBatchMsg {
-  std::uint64_t ack_upto = 0;
   struct Item {
-    std::uint64_t seq = 0;
     WireBlob command;
 
-    LLS_WIRE_FIELDS(Item, seq, command)
+    LLS_WIRE_FIELDS(Item, command)
   };
   std::vector<Item> items;
 
-  LLS_WIRE_FIELDS(ClientRequestBatchMsg, ack_upto, items)
+  LLS_WIRE_FIELDS(ClientRequestBatchMsg, items)
 };
 
 /// Backpressure: the leader's admission queue is over its high-water mark.

@@ -5,7 +5,9 @@
 // byte-unique — required by LogConsensus's pending-queue completion
 // matching — and (b) lets replicas deduplicate: consensus guarantees
 // at-least-once placement across leader changes, the RSM turns that into
-// exactly-once application.
+// exactly-once application. The origin's ack watermark rides along, so it
+// is decided with the command and every replica prunes its dedup state
+// and result cache at the same log position.
 #pragma once
 
 #include <algorithm>
@@ -40,8 +42,15 @@ struct Command {
   /// falls back to the ordered path unchanged. Commands that mutate must
   /// never set this.
   bool read_only = false;
+  /// Every seq of this origin <= ack_upto had completed at the origin when
+  /// it created this command (replied to or timed out). A reply is sent
+  /// only once its command is applied, so each of those is applied at an
+  /// earlier log position than this command, or is a timed-out op whose
+  /// late placement every replica drops alike. 0 = nothing acked.
+  std::uint64_t ack_upto = 0;
 
-  LLS_WIRE_FIELDS(Command, origin, seq, op, key, value, expected, read_only)
+  LLS_WIRE_FIELDS(Command, origin, seq, op, key, value, expected, read_only,
+                  ack_upto)
 };
 
 struct KvResult {

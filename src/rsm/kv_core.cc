@@ -1,6 +1,7 @@
 #include "rsm/kv_core.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -27,14 +28,27 @@ KvCore::KvCore(const KvCoreOptions& options)
   }
 }
 
+KvCore::~KvCore() {
+  if (accepted_pairs_gauge_ == nullptr) return;  // never started
+  accepted_pairs_gauge_->add(-static_cast<double>(published_.accepted_pairs));
+  log_entries_gauge_->add(-static_cast<double>(published_.log_entries));
+  dedup_entries_gauge_->add(-static_cast<double>(published_.dedup_entries));
+  cached_results_gauge_->add(-static_cast<double>(published_.cached_results));
+}
+
 void KvCore::on_start(Runtime& rt) {
   self_ = rt.id();
   rt_ = &rt;
   cluster_n_ = config_.cluster_n > 0 ? config_.cluster_n : rt.n();
   // Plane-wide fast-path economy counters (all cores of all processes share
   // them — the aggregate is what the benches assert on).
-  reads_local_ctr_ = &rt.obs().registry().counter("kv_reads_local");
-  reads_ordered_ctr_ = &rt.obs().registry().counter("kv_reads_ordered");
+  obs::Registry& registry = rt.obs().registry();
+  reads_local_ctr_ = &registry.counter("kv_reads_local");
+  reads_ordered_ctr_ = &registry.counter("kv_reads_ordered");
+  accepted_pairs_gauge_ = &registry.gauge("consensus.accepted_pairs_held");
+  log_entries_gauge_ = &registry.gauge("consensus.log_entries_held");
+  dedup_entries_gauge_ = &registry.gauge("rsm.dedup_entries");
+  cached_results_gauge_ = &registry.gauge("rsm.cached_results");
   // Subscribe to decisions before the engine starts: a durable consensus
   // log re-publishes the restored prefix from within on_start, and those
   // events must reach this core. The bus is plane-wide (shared by every
@@ -52,6 +66,7 @@ void KvCore::on_start(Runtime& rt) {
   // on_start, and snapshot_skip_ must already cover the compacted prefix.
   if (durable_) restore_snapshot(rt);
   consensus_.on_start(rt);
+  publish_held_state();
 }
 
 void KvCore::on_message(Runtime& rt, ProcessId src, MessageType type,
@@ -174,11 +189,10 @@ void KvCore::pump_session_queue() {
 }
 
 std::optional<Command> KvCore::admit_one(Runtime& rt, ProcessId src,
-                                         std::uint64_t seq,
-                                         std::uint64_t ack_upto,
                                          BytesView command_blob) {
   Command cmd = Command::decode(command_blob);
-  if (cmd.origin != src || cmd.seq != seq || seq == 0) {
+  const std::uint64_t seq = cmd.seq;
+  if (cmd.origin != src || seq == 0) {
     return std::nullopt;  // malformed or impersonating another session: drop
   }
   {
@@ -193,13 +207,7 @@ std::optional<Command> KvCore::admit_one(Runtime& rt, ProcessId src,
   }
 
   ClientSessionSrv& sess = clients_[src];
-  if (ack_upto > sess.ack_upto) {
-    // The client completed everything up to ack_upto: it can never retry
-    // those seqs, so their cached results are dead weight.
-    sess.ack_upto = ack_upto;
-    sess.results.erase(sess.results.begin(),
-                       sess.results.upper_bound(sess.ack_upto));
-  }
+  prune_results(sess, cmd.ack_upto);
 
   auto hit = sess.results.find(seq);
   if (hit != sess.results.end()) {
@@ -262,7 +270,7 @@ void KvCore::handle_client_request(Runtime& rt, ProcessId src,
                                    BytesView payload) {
   if (!is_client(src)) return;  // replicas do not speak the client protocol
   ClientRequestMsg req = ClientRequestMsg::decode(payload);
-  auto cmd = admit_one(rt, src, req.seq, req.ack_upto, req.command.view());
+  auto cmd = admit_one(rt, src, req.command.view());
   if (cmd.has_value()) enqueue_for_consensus(std::move(*cmd));
 }
 
@@ -273,7 +281,7 @@ void KvCore::handle_client_batch(Runtime& rt, ProcessId src,
   std::vector<Command> fresh;
   fresh.reserve(req.items.size());
   for (const auto& item : req.items) {
-    auto cmd = admit_one(rt, src, item.seq, req.ack_upto, item.command.view());
+    auto cmd = admit_one(rt, src, item.command.view());
     if (cmd.has_value()) fresh.push_back(std::move(*cmd));
   }
   enqueue_commands(std::move(fresh));
@@ -318,9 +326,8 @@ void KvCore::on_decided(Instance i, BytesView value) {
   if (value.empty()) return;       // consensus no-op filler
   CommandBatch batch = CommandBatch::decode(value);
   for (const Command& cmd : batch.commands) apply_command(cmd);
+  publish_held_state();
 }
-
-Instance KvCore::compact_applied() { return compact_to(applied_upto_); }
 
 Instance KvCore::compact_to(Instance upto) {
   upto = std::min(upto, applied_upto_);
@@ -331,7 +338,9 @@ Instance KvCore::compact_to(Instance upto) {
   // snapshot are skipped, never double-applied.
   if (durable_ && rt_ != nullptr) persist_snapshot(*rt_);
   if (durable_) snapshot_skip_ = applied_upto_;
-  return consensus_.compact(upto);
+  const Instance compacted = consensus_.compact(upto);
+  publish_held_state();
+  return compacted;
 }
 
 std::string KvCore::snapshot_key() const {
@@ -350,8 +359,9 @@ void KvCore::persist_snapshot(Runtime& rt) const {
     size += 4 + key.size() + 4 + value.size();
   }
   size += 4;
-  for (const auto& [origin, seqs] : applied_) {
-    size += sizeof(ProcessId) + 4 + seqs.size() * sizeof(std::uint64_t);
+  for (const auto& [origin, dedup] : applied_) {
+    size += sizeof(ProcessId) + sizeof(dedup.upto) + 4 +
+            dedup.above.size() * sizeof(std::uint64_t);
   }
   Bytes out(size);
   FlatWriter w(out);
@@ -362,21 +372,22 @@ void KvCore::persist_snapshot(Runtime& rt) const {
     w.put_string(key);
     w.put_string(value);
   }
-  // The dedup sets are part of the state machine: without them, a command
+  // The dedup state is part of the state machine: without it, a command
   // decided below the snapshot AND re-decided above it (leader-change
-  // at-least-once) would re-apply after recovery. Sorted for determinism.
+  // at-least-once) would re-apply after recovery. Per origin, its watermark
+  // and the sparse seqs above it: O(sessions x window), whatever the number
+  // of ops applied. Origins sorted for determinism; each set is ordered.
   std::vector<ProcessId> origins;
   origins.reserve(applied_.size());
-  for (const auto& [origin, seqs] : applied_) origins.push_back(origin);
+  for (const auto& [origin, dedup] : applied_) origins.push_back(origin);
   std::sort(origins.begin(), origins.end());
   w.put(static_cast<std::uint32_t>(origins.size()));
   for (ProcessId origin : origins) {
-    const auto& seqs = applied_.at(origin);
-    std::vector<std::uint64_t> sorted(seqs.begin(), seqs.end());
-    std::sort(sorted.begin(), sorted.end());
+    const Dedup& dedup = applied_.at(origin);
     w.put(origin);
-    w.put(static_cast<std::uint32_t>(sorted.size()));
-    for (std::uint64_t x : sorted) w.put(x);
+    w.put(dedup.upto);
+    w.put(static_cast<std::uint32_t>(dedup.above.size()));
+    for (std::uint64_t x : dedup.above) w.put(x);
   }
   storage->write(snapshot_key(), out);
 }
@@ -400,13 +411,69 @@ void KvCore::restore_snapshot(Runtime& rt) {
   auto origins = r.get<std::uint32_t>();
   while (origins-- > 0) {
     auto origin = r.get<ProcessId>();
+    Dedup& dedup = applied_[origin];
+    dedup.upto = r.get<std::uint64_t>();
     auto seqs = r.get_vec<std::uint64_t>();
-    applied_[origin].insert(seqs.begin(), seqs.end());
+    dedup.above.insert(seqs.begin(), seqs.end());
+    dedup_entries_ += dedup.above.size();
   }
 }
 
+bool KvCore::Dedup::insert(std::uint64_t seq) {
+  if (contains(seq)) return false;
+  above.insert(seq);
+  absorb();
+  return true;
+}
+
+void KvCore::Dedup::raise(std::uint64_t w) {
+  if (w <= upto) return;
+  upto = w;
+  above.erase(above.begin(), above.upper_bound(upto));
+  absorb();
+}
+
+void KvCore::Dedup::absorb() {
+  while (!above.empty() && *above.begin() == upto + 1) {
+    above.erase(above.begin());
+    ++upto;
+  }
+}
+
+void KvCore::prune_results(ClientSessionSrv& sess, std::uint64_t ack_upto) {
+  if (ack_upto <= sess.ack_upto) return;
+  sess.ack_upto = ack_upto;
+  const auto end = sess.results.upper_bound(ack_upto);
+  cached_results_ -= static_cast<std::size_t>(
+      std::distance(sess.results.begin(), end));
+  sess.results.erase(sess.results.begin(), end);
+}
+
+KvHeldState KvCore::held_state() const {
+  KvHeldState held;
+  held.accepted_pairs = consensus_.accepted_pairs_held();
+  held.log_entries = consensus_.log_entries_held();
+  held.dedup_entries = dedup_entries_;
+  held.cached_results = cached_results_;
+  return held;
+}
+
+void KvCore::publish_held_state() {
+  const KvHeldState now = held_state();
+  auto move = [](obs::Gauge* gauge, std::size_t from, std::size_t to) {
+    gauge->add(static_cast<double>(to) - static_cast<double>(from));
+  };
+  move(accepted_pairs_gauge_, published_.accepted_pairs, now.accepted_pairs);
+  move(log_entries_gauge_, published_.log_entries, now.log_entries);
+  move(dedup_entries_gauge_, published_.dedup_entries, now.dedup_entries);
+  move(cached_results_gauge_, published_.cached_results, now.cached_results);
+  published_ = now;
+}
+
 void KvCore::apply_command(const Command& cmd) {
-  if (!applied_[cmd.origin].insert(cmd.seq).second) {
+  Dedup& dedup = applied_[cmd.origin];
+  const std::size_t held_before = dedup.above.size();
+  if (!dedup.insert(cmd.seq)) {
     ++duplicates_;
     // A duplicate instance of a command this replica also admitted: the
     // first instance already answered, so only release the window slot.
@@ -418,6 +485,12 @@ void KvCore::apply_command(const Command& cmd) {
     }
     return;  // at-least-once from consensus -> exactly-once here
   }
+  // Everything the origin had acked when it created this command is
+  // applied at an earlier log position, or is a timed-out op to drop: at
+  // or below the watermark from here on, at every replica alike.
+  if (cmd.seq > 0) dedup.raise(std::min(cmd.ack_upto, cmd.seq - 1));
+  dedup_entries_ += dedup.above.size();
+  dedup_entries_ -= held_before;
   KvResult result = store_.apply(cmd);
   if (rt_ != nullptr) {
     obs::Event e;
@@ -430,10 +503,13 @@ void KvCore::apply_command(const Command& cmd) {
   }
   if (is_client(cmd.origin)) {
     ClientSessionSrv& sess = clients_[cmd.origin];
-    if (cmd.seq > sess.ack_upto) {
-      sess.results[cmd.seq] = result;
+    prune_results(sess, cmd.ack_upto);
+    if (cmd.seq > sess.ack_upto &&
+        sess.results.insert_or_assign(cmd.seq, result).second) {
+      ++cached_results_;
       if (sess.results.size() > config_.results_cap) {
         sess.results.erase(sess.results.begin());
+        --cached_results_;
       }
     }
     if (sess.admitted.erase(cmd.seq) > 0) {

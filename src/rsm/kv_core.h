@@ -22,7 +22,6 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "consensus/log_consensus.h"
@@ -62,7 +61,9 @@ struct KvReplicaConfig {
   std::size_t admit_high_water = 1024;
 
   /// Per-session cap on cached results kept for reply resends beyond the
-  /// client's acked watermark (memory bound for sessions that never ack).
+  /// client's acked watermark. Every replica prunes at the ack_upto each
+  /// applied command carries, so this only bounds a session that stops
+  /// acking.
   std::size_t results_cap = 4096;
 
   /// Serve locally submitted kGet commands from local state whenever the
@@ -74,6 +75,25 @@ struct KvReplicaConfig {
   /// same-session commands — while any are outstanding the read falls back
   /// to the ordered path, preserving per-client program order.
   bool lease_reads = false;
+};
+
+/// Per-write state a core holds, for gauges and the loadgen report. Each
+/// stays O(window) per session, except log_entries until the log is
+/// compacted.
+struct KvHeldState {
+  std::size_t accepted_pairs = 0;  ///< acceptor pairs (undecided instances)
+  std::size_t log_entries = 0;     ///< decided values still in the log
+  std::size_t dedup_entries = 0;   ///< applied seqs above the watermarks
+  std::size_t cached_results = 0;  ///< results kept for client retries
+
+  /// Sums component-wise (a replica's cores, for one replica's total).
+  KvHeldState& operator+=(const KvHeldState& o) {
+    accepted_pairs += o.accepted_pairs;
+    log_entries += o.log_entries;
+    dedup_entries += o.dedup_entries;
+    cached_results += o.cached_results;
+    return *this;
+  }
 };
 
 /// Everything a KvCore needs, in one named place (replaces the positional
@@ -96,6 +116,10 @@ class KvCore final : public Actor {
   /// as the routing hint scope, and the core only consumes kDecide events
   /// tagged with the matching group (shard < 0 = unsharded, tag 0).
   explicit KvCore(const KvCoreOptions& options);
+  /// Takes this core's share back out of the plane's held-state gauges.
+  ~KvCore() override;
+  KvCore(const KvCore&) = delete;
+  KvCore& operator=(const KvCore&) = delete;
 
   /// Overrides the first local submit() sequence number, evaluated lazily on
   /// the first submission (after the oracle has started). Crash-recovery
@@ -137,30 +161,35 @@ class KvCore final : public Actor {
   [[nodiscard]] const LogConsensus& consensus() const { return consensus_; }
 
   // Compaction ---------------------------------------------------------------
-  /// Compacts the consensus log below everything this core has applied,
-  /// snapshotting the KV state to stable storage first when the group is
-  /// durable. Without the snapshot, a durable replica recovering after
-  /// compaction would rebuild its store only from the surviving log suffix
-  /// and silently lose the compacted prefix (the PR 9 audit bug).
-  Instance compact_applied();
-  /// Like compact_applied, but bounded by an externally coordinated
-  /// watermark (typically min(applied_upto) across the cluster). Compacting
-  /// past the slowest live replica's applied prefix destroys the only copies
-  /// of decisions that replica still needs — it could then never catch up,
-  /// and LogConsensus's prepare-side compaction guard would refuse it
-  /// leadership forever. Drivers that compact concurrently with churn or
-  /// crash-recovery must use this coordinated form.
+  /// Compacts the consensus log below `upto`, clamped to what this core has
+  /// applied, snapshotting the KV state to stable storage first when the
+  /// group is durable. Without the snapshot, a durable replica recovering
+  /// after compaction would rebuild its store only from the surviving log
+  /// suffix and silently lose the compacted prefix. `upto` is an externally
+  /// coordinated watermark (typically min(applied_upto) across the
+  /// cluster): compacting past the slowest live replica's applied prefix
+  /// destroys the only copies of decisions that replica still needs — it
+  /// could then never catch up, and LogConsensus's prepare-side compaction
+  /// guard would refuse it leadership forever.
   Instance compact_to(Instance upto);
+  /// Stable-storage key the durable snapshot is written under.
+  [[nodiscard]] std::string snapshot_key() const;
   /// Instances this core has fully applied (1 + the highest decided
   /// instance seen; instance numbering is dense below it).
   [[nodiscard]] Instance applied_upto() const { return applied_upto_; }
 
   // Client-service introspection --------------------------------------------
   /// True when (origin, seq) has been applied to this core's store.
+  /// Also true for a seq at or below the origin's dedup watermark that was
+  /// never applied here: a timed-out op decided after a command acking it
+  /// (dropped as a duplicate at every replica), or a seq of the same
+  /// session that another group owns.
   [[nodiscard]] bool has_applied(ProcessId origin, std::uint64_t seq) const {
     auto it = applied_.find(origin);
-    return it != applied_.end() && it->second.count(seq) != 0;
+    return it != applied_.end() && it->second.contains(seq);
   }
+  /// What this core holds per write right now.
+  [[nodiscard]] KvHeldState held_state() const;
   /// Client commands admitted here and not yet applied (the BUSY meter).
   [[nodiscard]] std::size_t admitted_inflight() const {
     return admitted_inflight_;
@@ -193,11 +222,37 @@ class KvCore final : public Actor {
     std::set<std::uint64_t> admitted;
   };
 
+  /// Applied seqs of one origin: every seq <= `upto` is applied, or is a
+  /// timed-out op to drop as a duplicate; `above` holds the applied seqs
+  /// over it. A set rather than a bare watermark: commands of one origin
+  /// may be decided out of sequence order across leader changes (an old
+  /// leader's stranded proposal can resurface late), and read seqs served
+  /// from the lease never reach the log.
+  struct Dedup {
+    std::uint64_t upto = 0;
+    std::set<std::uint64_t> above;
+
+    [[nodiscard]] bool contains(std::uint64_t seq) const {
+      return seq <= upto || above.count(seq) != 0;
+    }
+    /// Records `seq` as applied; false when it already was.
+    bool insert(std::uint64_t seq);
+    /// Raises the watermark to `w` (never lowers it).
+    void raise(std::uint64_t w);
+    /// Folds the contiguous run of applied seqs just above `upto` into it.
+    void absorb();
+  };
+
   void on_decided(Instance i, BytesView value);
   void apply_command(const Command& cmd);
+  /// Raises a session's result-cache watermark to `ack_upto` and drops the
+  /// results at or below it: the client can never retry those seqs.
+  void prune_results(ClientSessionSrv& sess, std::uint64_t ack_upto);
+  /// Moves the plane's held-state gauges by this core's change since the
+  /// last call.
+  void publish_held_state();
   void persist_snapshot(Runtime& rt) const;
   void restore_snapshot(Runtime& rt);
-  [[nodiscard]] std::string snapshot_key() const;
   void pump_session_queue();
   void flush_batch();
   void enqueue_for_consensus(Command cmd);
@@ -211,7 +266,6 @@ class KvCore final : public Actor {
   /// hits / redirects / BUSY directly; returns the command only when it was
   /// newly admitted and is owed a consensus placement.
   std::optional<Command> admit_one(Runtime& rt, ProcessId src,
-                                   std::uint64_t seq, std::uint64_t ack_upto,
                                    BytesView command_blob);
   void send_reply(ProcessId client, std::uint64_t seq, const KvResult& result);
   /// Executes kGet semantics against the local store without touching any
@@ -247,10 +301,12 @@ class KvCore final : public Actor {
   std::uint64_t next_seq_ = 0;
   bool seq_initialized_ = false;
   std::uint64_t duplicates_ = 0;
-  /// Applied sequences per origin. A plain set rather than a watermark:
-  /// commands of one origin may be decided out of sequence order across
-  /// leader changes (an old leader's stranded proposal can resurface late).
-  std::unordered_map<ProcessId, std::unordered_set<std::uint64_t>> applied_;
+  /// Applied sequences per origin.
+  std::unordered_map<ProcessId, Dedup> applied_;
+  /// Entries across every origin's Dedup::above and every session's
+  /// results, kept as running totals for held_state().
+  std::size_t dedup_entries_ = 0;
+  std::size_t cached_results_ = 0;
   std::map<std::uint64_t, Callback> callbacks_;  // by local seq
 
   // Client service.
@@ -274,6 +330,14 @@ class KvCore final : public Actor {
   // Batching mode.
   std::vector<Command> batch_;
   TimerId flush_timer_ = kInvalidTimer;
+
+  // Held-state gauges (plane-wide: the sum over every core on the plane)
+  // and this core's share of them as last published.
+  obs::Gauge* accepted_pairs_gauge_ = nullptr;
+  obs::Gauge* log_entries_gauge_ = nullptr;
+  obs::Gauge* dedup_entries_gauge_ = nullptr;
+  obs::Gauge* cached_results_gauge_ = nullptr;
+  KvHeldState published_;
 
   obs::Subscription decide_sub_;
 };

@@ -212,6 +212,12 @@ class BasicShardedReplica final : public Actor {
     for (const auto& g : groups_) total += g->admitted_inflight();
     return total;
   }
+  /// Per-write state held across this process's groups.
+  [[nodiscard]] KvHeldState held_state() const {
+    KvHeldState total;
+    for (const auto& g : groups_) total += g->held_state();
+    return total;
+  }
   [[nodiscard]] bool has_applied(ProcessId origin, std::uint64_t seq) const {
     for (const auto& g : groups_) {
       if (g->has_applied(origin, seq)) return true;
@@ -346,7 +352,6 @@ class BasicShardedReplica final : public Actor {
     }
     for (std::size_t g = 0; g < per_shard.size(); ++g) {
       if (per_shard[g].items.empty()) continue;
-      per_shard[g].ack_upto = req.ack_upto;
       // Items still borrow the original receive buffer (valid until this
       // routing callback returns); the per-group frame is pooled and the
       // dispatch below consumes it synchronously.

@@ -108,6 +108,9 @@ class Simulator {
   [[nodiscard]] const Network& network() const { return network_; }
 
   Actor& actor(ProcessId p) { return *actors_[p]; }
+  /// p's stable storage (crash-recovery mode), for inspecting what a
+  /// durable actor persisted.
+  InMemoryStableStorage& storage(ProcessId p) { return storage_[p]; }
 
   /// Miscellaneous deterministic stream (workload generators etc.).
   Rng& rng() { return misc_rng_; }

@@ -92,10 +92,7 @@ TEST(AllocRegression, PooledEncodeOfClientBatchIsAllocationFreeWhenWarm) {
     batch.commands.push_back(c);
   }
   const Bytes encoded_batch = batch.encode();
-  ClientRequestMsg req;
-  req.seq = 9;
-  req.ack_upto = 8;
-  req.command = WireBlob::ref(encoded_batch);
+  ClientRequestMsg req{WireBlob::ref(encoded_batch)};
   (void)wire::encode_pooled(pool, req);  // warm
 
   const std::uint64_t before = allocs();

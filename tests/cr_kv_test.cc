@@ -4,8 +4,11 @@
 // power loss.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 
+#include "client/cluster_client.h"
 #include "net/topology.h"
 #include "shard/sharded_replica.h"
 #include "sim/simulator.h"
@@ -87,7 +90,8 @@ TEST(CrKv, RecoveryAfterCompactionRestoresTheSnapshotPrefix) {
   });
   sim.schedule(10 * kSecond, [&]() {
     for (ProcessId p = 0; p < 3; ++p) {
-      EXPECT_GT(sim.actor_as<CrKvReplica>(p).group(0).compact_applied(), 0u);
+      KvCore& core = sim.actor_as<CrKvReplica>(p).group(0);
+      EXPECT_GT(core.compact_to(core.applied_upto()), 0u);
     }
   });
   sim.crash_at(2, 12 * kSecond);
@@ -205,6 +209,69 @@ TEST(CrKv, ChurnWithSteadyWritesConverges) {
     ASSERT_NE(it, store.data().end()) << "p" << p;
     EXPECT_EQ(it->second.size(), 30u) << "p" << p;
   }
+}
+
+/// Size of replica 0's durable snapshot after one client session ran `ops`
+/// ops (half lease-served reads, half puts over 8 keys) and the log was
+/// compacted below everything applied.
+std::size_t snapshot_bytes_after(int ops) {
+  constexpr int kReplicas = 3;
+  constexpr ProcessId kClient = kReplicas;
+  SimConfig config;
+  config.n = kReplicas + 1;
+  config.seed = 6;
+  Simulator sim(config, make_all_timely({500, 2 * kMillisecond}));
+  LogConsensusConfig lc;
+  lc.durable = true;
+  lc.lease.enabled = true;
+  ShardedReplicaConfig sc;
+  sc.replica.cluster_n = kReplicas;
+  for (ProcessId p = 0; p < kReplicas; ++p) {
+    sim.set_actor_factory(p, [lc, sc]() {
+      return std::make_unique<CrKvReplica>(CrKvReplica::Options{
+          .omega = CrOmegaConfig{}, .consensus = lc, .sharded = sc});
+    });
+  }
+  ClusterClientConfig cc;
+  cc.cluster_n = kReplicas;
+  cc.window = 8;
+  cc.lease_reads = true;
+  auto& client = sim.emplace_actor<ClusterClient>(kClient, cc);
+  int issued = 0;
+  std::function<void()> next = [&]() {
+    if (issued == ops) return;
+    const int i = issued++;
+    const std::string key = "k" + std::to_string(i % 8);
+    auto done = [&](const ClientCompletion&) { next(); };
+    if (i % 2 == 0) {
+      client.get(key, done);
+    } else {
+      client.submit(KvOp::kPut, key, "v", "", done);
+    }
+  };
+  sim.schedule(1 * kSecond, [&]() {
+    for (int k = 0; k < 8; ++k) next();
+  });
+  sim.start();
+  sim.run_until(1 * kSecond + ops * 5 * kMillisecond);
+  EXPECT_EQ(client.acked(), static_cast<std::uint64_t>(ops));
+  KvCore& core = sim.actor_as<CrKvReplica>(0).group(0);
+  EXPECT_GT(core.compact_to(core.applied_upto()), 0u);
+  const auto blob = sim.storage(0).read(core.snapshot_key());
+  EXPECT_TRUE(blob.has_value());
+  return blob.has_value() ? blob->size() : 0;
+}
+
+TEST(CrKv, SnapshotSizeDoesNotGrowWithOpsApplied) {
+  // The dedup state is a watermark plus the sparse seqs above it per
+  // origin, raised by the ack_upto each command carries: lease-served
+  // reads leave a hole at every read seq, so only the client's watermark
+  // moves past them. Stored as a full applied-seq set, the snapshot grew
+  // by 8 bytes per write.
+  const std::size_t small = snapshot_bytes_after(200);
+  const std::size_t large = snapshot_bytes_after(2000);
+  EXPECT_LE(large, small + 8 * sizeof(std::uint64_t))
+      << "200 ops: " << small << " B, 2000 ops: " << large << " B";
 }
 
 }  // namespace

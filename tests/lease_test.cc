@@ -259,7 +259,6 @@ TEST(LeaseUnit, RedirectedReadOnlyCommandIsNotCountedAsOrdered) {
   cmd.key = "k";
   cmd.read_only = true;
   ClientRequestMsg req;
-  req.seq = 1;
   req.command = cmd.encode();
   core.on_message(rt, 3, msg_type::kClientRequest, req.encode());
   EXPECT_EQ(rt.count_sent(3, msg_type::kClientRedirect), 1);

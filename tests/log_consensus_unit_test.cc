@@ -817,5 +817,30 @@ TEST(LogConsensusUnit, ForwardDeduplicatesAgainstLogAndQueue) {
   EXPECT_EQ(f.consensus.pending_count(), 0u);
 }
 
+TEST(LogConsensusUnit, CommitFromOwnPairRetiresPendingAndDropsThePair) {
+  // The commit loop learns an instance from this follower's own accepted
+  // pair; learn() then drops that pair, and must re-point the value it was
+  // handed at the decided entry first, or the pending-queue match below
+  // reads freed bytes and the submission is never retired.
+  Fixture f(/*self=*/1, /*n=*/3, /*leader=*/0);
+  f.consensus.propose(val(5));
+  ASSERT_EQ(f.consensus.pending_count(), 1u);
+  const Round r = 3;  // a ballot owned by p0
+  f.deliver(0, msg_type::kAccept, AcceptMsg{r, 0, 0, val(5)}.encode());
+  ASSERT_NE(f.consensus.acceptor().accepted(0), nullptr);
+  f.deliver(0, msg_type::kAccept, AcceptMsg{r, 1, 1, val(6)}.encode());
+  ASSERT_TRUE(f.consensus.decision(0).has_value());
+  EXPECT_EQ(*f.consensus.decision(0), val(5));
+  EXPECT_EQ(f.consensus.pending_count(), 0u);
+  EXPECT_EQ(f.consensus.acceptor().accepted(0), nullptr);
+  EXPECT_NE(f.consensus.acceptor().accepted(1), nullptr);  // still undecided
+  EXPECT_EQ(f.consensus.accepted_pairs_held(), 1u);
+  // A retransmitted ACCEPT for the decided instance is answered but not
+  // held again.
+  f.deliver(0, msg_type::kAccept, AcceptMsg{r, 0, 1, val(5)}.encode());
+  EXPECT_EQ(f.consensus.acceptor().accepted(0), nullptr);
+  EXPECT_EQ(f.consensus.accepted_pairs_held(), 1u);
+}
+
 }  // namespace
 }  // namespace lls

@@ -3,12 +3,14 @@
 // through the log, behaviour across leader crashes.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "net/topology.h"
 #include "shard/sharded_replica.h"
 #include "sim/simulator.h"
+#include "testing_util.h"
 
 namespace lls {
 namespace {
@@ -98,6 +100,75 @@ TEST(KvStore, CommandCodecRoundTrip) {
   EXPECT_EQ(d.key, "k");
   EXPECT_EQ(d.value, "v");
   EXPECT_EQ(d.expected, "e");
+}
+
+// --- Dedup and result-cache pruning -----------------------------------------
+
+/// Omega stub: a fixed leader.
+class FixedLeader final : public OmegaActor {
+ public:
+  void on_start(Runtime&) override {}
+  void on_message(Runtime&, ProcessId, MessageType, BytesView) override {}
+  void on_timer(Runtime&, TimerId) override {}
+  [[nodiscard]] ProcessId leader() const override { return 0; }
+};
+
+Bytes client_put(std::uint64_t seq, std::uint64_t ack_upto, std::string value) {
+  CommandBatch batch;
+  Command cmd;
+  cmd.origin = 3;  // the client session: cluster_n = 3
+  cmd.seq = seq;
+  cmd.ack_upto = ack_upto;
+  cmd.op = KvOp::kPut;
+  cmd.key = "k";
+  cmd.value = std::move(value);
+  batch.commands.push_back(cmd);
+  return batch.encode();
+}
+
+TEST(KvDedup, TimedOutSeqDecidedAfterItsAckIsDroppedEverywhere) {
+  // The client timed out on seq 1, so its watermark passed it, and seq 2
+  // carries ack_upto = 1. Seq 1 is then decided late, after seq 2: every
+  // replica drops it at the same log position (allowed for an op whose
+  // outcome the client never learned), so the stores still agree. Every
+  // command after that carries ack_upto = seq - 1, and every replica, the
+  // followers included, keeps one cached result and no sparse dedup entry.
+  FixedLeader omega;
+  std::vector<std::unique_ptr<testing::FakeRuntime>> rts;
+  std::vector<std::unique_ptr<KvCore>> cores;
+  for (ProcessId p = 0; p < 3; ++p) {
+    rts.push_back(std::make_unique<testing::FakeRuntime>(p, 4));
+    KvCoreOptions opts;
+    opts.omega = &omega;
+    opts.replica.cluster_n = 3;
+    cores.push_back(std::make_unique<KvCore>(opts));
+    cores.back()->on_start(*rts.back());
+  }
+  std::vector<Bytes> log = {client_put(2, 1, "b"), client_put(1, 0, "a")};
+  for (std::uint64_t seq = 3; seq <= 50; ++seq) {
+    log.push_back(client_put(seq, seq - 1, "v" + std::to_string(seq)));
+  }
+  for (ProcessId p = 0; p < 3; ++p) {
+    for (Instance i = 0; i < log.size(); ++i) {
+      cores[p]->on_message(*rts[p], 0, msg_type::kDecide,
+                           DecideMsg{i, log[i]}.encode());
+    }
+  }
+  for (ProcessId p = 0; p < 3; ++p) {
+    const KvCore& core = *cores[p];
+    EXPECT_EQ(core.store().digest(), cores[0]->store().digest()) << "p" << p;
+    EXPECT_EQ(core.duplicates_suppressed(), 1u) << "p" << p;
+    EXPECT_EQ(core.applied_count(), 49u) << "p" << p;
+    for (std::uint64_t seq = 2; seq <= 50; ++seq) {
+      EXPECT_TRUE(core.has_applied(3, seq)) << "p" << p << " seq " << seq;
+    }
+    EXPECT_EQ(core.held_state().cached_results, 1u) << "p" << p;
+    EXPECT_EQ(core.held_state().dedup_entries, 0u) << "p" << p;
+  }
+  // The held-state gauges sum over the cores on one plane; each fake
+  // runtime is its own plane.
+  EXPECT_EQ(rts[1]->obs().registry().gauges().at("rsm.cached_results").value(),
+            1.0);
 }
 
 // --- Full-stack replication -------------------------------------------------

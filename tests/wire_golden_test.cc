@@ -16,6 +16,9 @@
 //   * the lease fields ride at the END of their structs: ts on
 //     Prepare/Accept, echo_ts on Promise/Accepted, read_only on Command —
 //     so every pre-lease prefix of those messages is unchanged;
+//   * Command ends with the origin's ack_upto watermark, after read_only;
+//     the client request messages carry nothing but the encoded command
+//     (its own origin, seq and ack_upto);
 //   * AcceptedMsg ends with the follower's decided_upto watermark, after
 //     echo_ts.
 #include <gtest/gtest.h>
@@ -114,24 +117,25 @@ TEST(WireGolden, CommandIncludingReadOnlyFlag) {
   cmd.key = "k";
   cmd.value = "v";
   cmd.expected = "e";
-  expect_golden(
-      cmd, "02000000630000000000000005010000006b0100000076010000006500");
+  cmd.ack_upto = 98;
+  expect_golden(cmd,
+                "02000000630000000000000005010000006b0100000076010000006500"
+                "6200000000000000");
   Command rd;
   rd.origin = 1;
   rd.seq = 7;
   rd.op = KvOp::kGet;
   rd.key = "k";
   rd.read_only = true;
-  expect_golden(
-      rd, "01000000070000000000000002010000006b000000000000000001");
+  expect_golden(rd,
+                "01000000070000000000000002010000006b000000000000000001"
+                "0000000000000000");
 }
 
 TEST(WireGolden, ClientProtocolMessages) {
   ClientRequestMsg req;
-  req.seq = 5;
-  req.ack_upto = 4;
   req.command = Bytes{std::byte{0x10}};
-  expect_golden(req, "050000000000000004000000000000000100000010");
+  expect_golden(req, "0100000010");
   ClientReplyMsg rep;
   rep.seq = 5;
   rep.ok = true;
@@ -143,12 +147,9 @@ TEST(WireGolden, ClientProtocolMessages) {
   redir.shard = 1;
   expect_golden(redir, "030000000100");
   ClientRequestBatchMsg batch;
-  batch.ack_upto = 2;
-  batch.items.push_back({3, Bytes{std::byte{0x20}}});
-  batch.items.push_back({4, Bytes{std::byte{0x21}, std::byte{0x22}}});
-  expect_golden(batch,
-                "0200000000000000020000000300000000000000010000002004000000"
-                "00000000020000002122");
+  batch.items.push_back({Bytes{std::byte{0x20}}});
+  batch.items.push_back({Bytes{std::byte{0x21}, std::byte{0x22}}});
+  expect_golden(batch, "020000000100000020020000002122");
   ClientBusyMsg busy;
   busy.seq = 6;
   busy.queue = 17;

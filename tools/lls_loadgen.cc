@@ -284,6 +284,10 @@ void emit_run_json(Json& json, std::size_t batch, int shards,
   json.key("consensus_decisions").value(r.consensus_decisions);
   put(json, "consensus_msgs_per_decision", r.consensus_msgs_per_decision);
   json.key("envelopes_rejected").value(r.envelopes_rejected);
+  json.key("accepted_pairs_held").value(r.accepted_pairs_held);
+  json.key("log_entries_held").value(r.log_entries_held);
+  json.key("dedup_entries").value(r.dedup_entries);
+  json.key("cached_results").value(r.cached_results);
   auto op_json = [&](const char* name, const LoadgenResult::OpStats& st) {
     json.key(name).begin_object();
     json.key("acked").value(st.acked);
