@@ -25,6 +25,7 @@ inline constexpr MessageType kNack = 0x0205;
 inline constexpr MessageType kDecide = 0x0206;
 inline constexpr MessageType kDecideAck = 0x0207;
 inline constexpr MessageType kForward = 0x0208;
+inline constexpr MessageType kCompact = 0x0209;
 
 // RotatingConsensus (0x0210 block).
 inline constexpr MessageType kRcEstimate = 0x0211;

@@ -157,6 +157,7 @@ void LogConsensus::drive(Runtime& rt) {
     if (!leader_ready_ && !preparing_) start_prepare(rt);
     if (leader_ready_) assign_pending(rt);
     retransmit(rt);
+    advance_safe_point(rt);
     return;
   }
   // Not the leader: drop any proposer role and re-forward pending values to
@@ -394,6 +395,28 @@ void LogConsensus::note_watermark(ProcessId q, Instance decided_upto) {
   f.backoff = 1;
 }
 
+void LogConsensus::advance_safe_point(Runtime& rt) {
+  if (!leader_ready_) return;
+  // Each watermark is a lower bound on what that peer has decided, and a
+  // durable peer's prefix survives its restarts, so no live process and no
+  // later candidate's PREPARE `from` falls below the minimum: the
+  // prepare-side compaction guard never blocks a live candidate. Every
+  // peer counts, responding or not — a silent one pins the point.
+  Instance point = next_notify_;
+  for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
+    if (q != self_) {
+      point = std::min(point, peers_[static_cast<std::size_t>(q)].decided_upto);
+    }
+  }
+  // Hints go out only in chunks, so while nothing is decided none do.
+  if (point < safe_point_ + kCompactChunk) return;
+  safe_point_ = point;
+  auto payload = wire::encode_pooled(rt.pool(), CompactMsg{point});
+  for (ProcessId q = 0; q < static_cast<ProcessId>(n_); ++q) {
+    if (q != self_) rt.send(q, msg_type::kCompact, payload.view());
+  }
+}
+
 void LogConsensus::abdicate() {
   if (leader_ready_ && rt_ != nullptr) {
     obs::Event e;
@@ -543,10 +566,13 @@ void LogConsensus::on_message(Runtime& rt, ProcessId src, MessageType type,
       handle_decide(rt, src, DecideMsg::decode(payload));
       break;
     case msg_type::kDecideAck:
-      handle_decide_ack(src, DecideAckMsg::decode(payload));
+      handle_decide_ack(rt, src, DecideAckMsg::decode(payload));
       break;
     case msg_type::kForward:
       handle_forward(src, ForwardMsg::decode(payload));
+      break;
+    case msg_type::kCompact:
+      handle_compact(CompactMsg::decode(payload));
       break;
     default:
       break;
@@ -570,9 +596,9 @@ void LogConsensus::handle_prepare(Runtime& rt, ProcessId src,
   // any quorum that does promise has every member's watermark <= msg.from,
   // so everything decided or accepted at >= msg.from is still reportable.
   // The candidate re-sends every retry period and gets through once the
-  // current leader's watermark catch-up brings it past our watermark
-  // (compaction policy must not outrun the slowest live replica — see
-  // KvCore::compact_to).
+  // current leader's watermark catch-up brings it past our watermark.
+  // Compaction stays below the leader's safe point, the minimum decided
+  // prefix over the whole group, so a live candidate never waits here.
   if (msg.from < log_base_) return;
   highest_seen_round_ = std::max(highest_seen_round_, msg.round);
   Round before = acceptor_.promised();
@@ -669,6 +695,7 @@ void LogConsensus::handle_accept(Runtime& rt, ProcessId src,
 void LogConsensus::handle_accepted(Runtime& rt, ProcessId src,
                                    const AcceptedMsg& msg) {
   note_watermark(src, msg.decided_upto);
+  advance_safe_point(rt);
   if (!leader_ready_ || msg.round != my_round_) return;
   // Even an ack for an already-decided instance renews the support — the
   // follower granted (and fenced) it either way.
@@ -704,8 +731,16 @@ void LogConsensus::handle_decide(Runtime& rt, ProcessId src,
           wire::encode_pooled(rt.pool(), DecideAckMsg{next_notify_}).view());
 }
 
-void LogConsensus::handle_decide_ack(ProcessId src, const DecideAckMsg& msg) {
+void LogConsensus::handle_decide_ack(Runtime& rt, ProcessId src,
+                                     const DecideAckMsg& msg) {
   note_watermark(src, msg.instance);
+  advance_safe_point(rt);
+}
+
+void LogConsensus::handle_compact(const CompactMsg& msg) {
+  // Whoever computed it, the point was a bound on every prefix when it was
+  // sent, and prefixes only grow.
+  safe_point_ = std::max(safe_point_, msg.upto);
 }
 
 Instance LogConsensus::compact(Instance upto) {

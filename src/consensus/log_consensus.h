@@ -26,6 +26,10 @@
 //    they only answer the leader (preserving the communication-efficiency
 //    discipline) and re-forward their own pending proposals to the current
 //    leader.
+//  * Compaction is leader-driven: the ready leader hints the followers the
+//    lowest decided prefix it knows of in the group (its safe point), and
+//    the application compacts below it (KvCore::compact_to), so no live
+//    process ever needs a discarded decision.
 //  * Liveness needs Omega stabilization plus a correct majority; safety
 //    (agreement, validity, integrity) holds unconditionally and is enforced
 //    by the Acceptor rules, including before GST and with no ♦-source.
@@ -127,6 +131,13 @@ class LogConsensus final : public ConsensusActor {
   /// backoff doubles while the follower's watermark does not move, so a
   /// dead follower costs about one message per ceiling period.
   static constexpr int kCatchupBackoffCap = 64;
+  /// Leader-driven compaction (DESIGN.md §4): the ready leader hints its
+  /// safe point to the followers each time it has advanced by at least
+  /// this many instances, and a replica compacts at most once per chunk.
+  static constexpr Instance kCompactChunk = 128;
+  /// Decisions a replica keeps below the safe point when it compacts, so a
+  /// late forward of a value just decided still matches the log.
+  static constexpr Instance kCompactTail = 64;
 
   // Actor ------------------------------------------------------------------
   void on_start(Runtime& rt) override;
@@ -141,15 +152,22 @@ class LogConsensus final : public ConsensusActor {
 
   // Log compaction -----------------------------------------------------------
   /// Discards decided entries below `upto` (and the matching acceptor
-  /// state), bounding memory. Contract: the application must know that every
-  /// correct process has already learned/applied the prefix (e.g. via an
-  /// application-level checkpoint) — compacted values can no longer be
-  /// served to laggards, and a follower whose watermark is below the
-  /// leader's compaction point can no longer be caught up. Requests are
-  /// clamped to first_unknown(); returns the watermark actually applied.
+  /// state), bounding memory. Contract: every process must already have
+  /// learned the prefix — compacted values can no longer be served to
+  /// laggards, and a candidate whose log frontier is below `upto` is
+  /// refused promises. safe_point() is such a bound; KvCore::compact_to,
+  /// its one production caller, stays below it. Requests are clamped to
+  /// first_unknown(); returns the watermark actually applied.
   Instance compact(Instance upto);
 
   [[nodiscard]] Instance compacted_upto() const { return log_base_; }
+
+  /// A lower bound on the decided prefix of every process in the group:
+  /// the ready leader's minimum over its own prefix and its watermark of
+  /// each peer (a silent peer pins it), adopted in steps of kCompactChunk,
+  /// or the largest point a leader has hinted here. Prefixes never shrink,
+  /// so a stale or deposed leader's hint stays a valid bound.
+  [[nodiscard]] Instance safe_point() const { return safe_point_; }
 
   // Leader lease ------------------------------------------------------------
   /// True iff this process may serve a linearizable read from local state
@@ -207,6 +225,9 @@ class LogConsensus final : public ConsensusActor {
   /// Records that `q` has decided everything below `decided_upto`;
   /// progress resets its catch-up backoff.
   void note_watermark(ProcessId q, Instance decided_upto);
+  /// Ready leader: recomputes the safe point and, once it has advanced by
+  /// kCompactChunk, adopts it and hints it to every follower.
+  void advance_safe_point(Runtime& rt);
   void abdicate();
 
   // Durability (crash-recovery extension).
@@ -242,8 +263,9 @@ class LogConsensus final : public ConsensusActor {
   void handle_accepted(Runtime& rt, ProcessId src, const AcceptedMsg& msg);
   void handle_nack(const NackMsg& msg);
   void handle_decide(Runtime& rt, ProcessId src, const DecideMsg& msg);
-  void handle_decide_ack(ProcessId src, const DecideAckMsg& msg);
+  void handle_decide_ack(Runtime& rt, ProcessId src, const DecideAckMsg& msg);
   void handle_forward(ProcessId src, const ForwardMsg& msg);
+  void handle_compact(const CompactMsg& msg);
 
   [[nodiscard]] int majority() const { return n_ / 2 + 1; }
   [[nodiscard]] bool i_am_omega_leader() const {
@@ -350,6 +372,8 @@ class LogConsensus final : public ConsensusActor {
   /// commit_upto() as of the previous tick: a peer below it had at least
   /// one full retry period to learn it, so it is stalled.
   Instance commit_at_last_tick_ = 0;
+  /// See safe_point().
+  Instance safe_point_ = 0;
 
   /// Values submitted here (locally or forwarded) and not yet observed in
   /// the decided log. Re-forwarded to the current leader on every tick.

@@ -125,6 +125,16 @@ struct ForwardMsg {
   LLS_WIRE_FIELDS(ForwardMsg, value)
 };
 
+/// Leader -> followers: every process in the group has decided everything
+/// below `upto` (the leader's safe point: its own decided prefix and its
+/// lower bound on each peer's). A receiver may compact its log up to the
+/// smaller of `upto` and its own applied prefix, minus a tail.
+struct CompactMsg {
+  Instance upto = 0;
+
+  LLS_WIRE_FIELDS(CompactMsg, upto)
+};
+
 // ---------------------------------------------------------------------------
 // Acceptor state.
 // ---------------------------------------------------------------------------

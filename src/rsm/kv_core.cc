@@ -45,6 +45,7 @@ void KvCore::on_start(Runtime& rt) {
   obs::Registry& registry = rt.obs().registry();
   reads_local_ctr_ = &registry.counter("kv_reads_local");
   reads_ordered_ctr_ = &registry.counter("kv_reads_ordered");
+  compactions_ctr_ = &registry.counter("consensus.compactions");
   accepted_pairs_gauge_ = &registry.gauge("consensus.accepted_pairs_held");
   log_entries_gauge_ = &registry.gauge("consensus.log_entries_held");
   dedup_entries_gauge_ = &registry.gauge("rsm.dedup_entries");
@@ -81,6 +82,7 @@ void KvCore::on_message(Runtime& rt, ProcessId src, MessageType type,
   }
   if (type >= msg_type::kConsensusBase && type <= (msg_type::kConsensusBase | 0x00ff)) {
     consensus_.on_message(rt, src, type, payload);
+    compact_to_safe_point();
   }
 }
 
@@ -92,6 +94,7 @@ void KvCore::on_timer(Runtime& rt, TimerId timer) {
   }
   // Not ours: the consensus engine checks the id against its own timer.
   consensus_.on_timer(rt, timer);
+  compact_to_safe_point();
 }
 
 std::uint64_t KvCore::submit(KvOp op, std::string key, std::string value,
@@ -329,9 +332,19 @@ void KvCore::on_decided(Instance i, BytesView value) {
   publish_held_state();
 }
 
+void KvCore::compact_to_safe_point() {
+  const Instance point = std::min(consensus_.safe_point(), applied_upto_);
+  if (point < consensus_.compacted_upto() + LogConsensus::kCompactTail +
+                  LogConsensus::kCompactChunk) {
+    return;
+  }
+  compact_to(point - LogConsensus::kCompactTail);
+}
+
 Instance KvCore::compact_to(Instance upto) {
   upto = std::min(upto, applied_upto_);
-  if (upto == 0) return consensus_.compacted_upto();
+  const Instance before = consensus_.compacted_upto();
+  if (upto <= before) return before;
   // Snapshot first: once the log prefix is gone, the snapshot is the only
   // durable copy of its effects. Snapshot the full applied watermark even
   // though compact() may clamp lower — replayed decisions below the
@@ -339,6 +352,9 @@ Instance KvCore::compact_to(Instance upto) {
   if (durable_ && rt_ != nullptr) persist_snapshot(*rt_);
   if (durable_) snapshot_skip_ = applied_upto_;
   const Instance compacted = consensus_.compact(upto);
+  if (compacted > before && compactions_ctr_ != nullptr) {
+    compactions_ctr_->inc();
+  }
   publish_held_state();
   return compacted;
 }

@@ -78,8 +78,8 @@ struct KvReplicaConfig {
 };
 
 /// Per-write state a core holds, for gauges and the loadgen report. Each
-/// stays O(window) per session, except log_entries until the log is
-/// compacted.
+/// stays O(window) per session; log_entries stays within the compaction
+/// tail and chunk plus the instances the slowest peer has yet to learn.
 struct KvHeldState {
   std::size_t accepted_pairs = 0;  ///< acceptor pairs (undecided instances)
   std::size_t log_entries = 0;     ///< decided values still in the log
@@ -165,12 +165,13 @@ class KvCore final : public Actor {
   /// applied, snapshotting the KV state to stable storage first when the
   /// group is durable. Without the snapshot, a durable replica recovering
   /// after compaction would rebuild its store only from the surviving log
-  /// suffix and silently lose the compacted prefix. `upto` is an externally
-  /// coordinated watermark (typically min(applied_upto) across the
-  /// cluster): compacting past the slowest live replica's applied prefix
-  /// destroys the only copies of decisions that replica still needs — it
-  /// could then never catch up, and LogConsensus's prepare-side compaction
-  /// guard would refuse it leadership forever.
+  /// suffix and silently lose the compacted prefix. `upto` must not exceed
+  /// a prefix every replica has decided: compacting past the slowest live
+  /// replica destroys the only copies of decisions that replica still
+  /// needs — it could then never catch up, and LogConsensus's prepare-side
+  /// compaction guard would refuse it leadership forever. The core calls
+  /// it by itself with the consensus safe point (leader-driven, DESIGN.md
+  /// §4); it is the only path that compacts the log.
   Instance compact_to(Instance upto);
   /// Stable-storage key the durable snapshot is written under.
   [[nodiscard]] std::string snapshot_key() const;
@@ -244,6 +245,10 @@ class KvCore final : public Actor {
   };
 
   void on_decided(Instance i, BytesView value);
+  /// Compacts to the smaller of the consensus safe point and the applied
+  /// prefix, minus LogConsensus::kCompactTail, once that has moved a
+  /// kCompactChunk past the last compaction.
+  void compact_to_safe_point();
   void apply_command(const Command& cmd);
   /// Raises a session's result-cache watermark to `ack_upto` and drops the
   /// results at or below it: the client can never retry those seqs.
@@ -322,6 +327,8 @@ class KvCore final : public Actor {
   std::uint64_t reads_ordered_ = 0;
   obs::Counter* reads_local_ctr_ = nullptr;
   obs::Counter* reads_ordered_ctr_ = nullptr;
+  /// Compactions that discarded part of the log (plane-wide).
+  obs::Counter* compactions_ctr_ = nullptr;
 
   // FIFO session mode.
   std::deque<Command> session_queue_;

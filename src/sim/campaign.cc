@@ -1,7 +1,6 @@
 #include "sim/campaign.h"
 
 #include <algorithm>
-#include <limits>
 #include <cinttypes>
 #include <functional>
 #include <map>
@@ -1301,7 +1300,8 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
       });
 
   // Durable crash-recovery replicas: every restart replays the stable log
-  // and the compaction snapshot — the recovery path the soak hammers.
+  // and the compaction snapshot — the recovery path the soak hammers. The
+  // replicas compact by themselves, below the leader's safe point.
   for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
     sim.set_actor_factory(p, []() {
       LogConsensusConfig lc;
@@ -1353,35 +1353,6 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
         }
         return true;
       });
-
-  // Periodic snapshot + log compaction, only while the whole cluster is up
-  // (compaction discards history a down laggard would still need).
-  // Coordinated watermark: compact every replica to the MINIMUM applied
-  // prefix across the cluster, never each replica's own. Churn drops DECIDE
-  // retransmissions, so replicas drift apart; per-replica compaction would
-  // destroy the only copies of decisions a laggard still needs, and the
-  // prepare-side compaction guard would then (rightly) refuse it leadership
-  // until a catch-up that can no longer happen.
-  sim.schedule_every(config.compact_period, config.compact_period,
-                     [&sim, &result]() {
-                       Instance floor =
-                           std::numeric_limits<Instance>::max();
-                       for (ProcessId p = 0;
-                            p < static_cast<ProcessId>(sim.n()); ++p) {
-                         if (!sim.alive(p)) return true;
-                         floor = std::min(floor, sim.actor_as<CrKvReplica>(p)
-                                                     .group(0)
-                                                     .applied_upto());
-                       }
-                       if (floor == 0) return true;
-                       for (ProcessId p = 0;
-                            p < static_cast<ProcessId>(sim.n()); ++p) {
-                         sim.actor_as<CrKvReplica>(p).group(0).compact_to(
-                             floor);
-                       }
-                       ++result.compactions;
-                       return true;
-                     });
 
   // Trickle workload: one op per period at a random replica, recorded for
   // the final linearizability check. Values are unique per op.
@@ -1510,6 +1481,8 @@ SoakResult run_soak(const SoakConfig& config, std::FILE* log) {
   }
 
   result.restarts = telem->restarts;
+  result.compactions =
+      sim.plane().registry().counter("consensus.compactions").value();
   for (const auto& [name, hist] : sim.plane().registry().histograms()) {
     if (name == "election_stabilization_ms") {
       result.stabilization_span_ms.merge(hist);

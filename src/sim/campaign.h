@@ -208,9 +208,6 @@ struct SoakConfig {
   /// (all-eventually-timely profiles only: the crash-recovery Omega may
   /// elect any process, so every process must eventually be a source).
   Duration churn_period = 75 * kSecond;
-  /// Every replica snapshots + compacts its log at this period (only while
-  /// the whole cluster is up — compaction discards history laggards need).
-  Duration compact_period = 20 * kSecond;
   /// Trickle workload rate; submissions stop `drain` before the horizon.
   int ops_per_sec = 4;
   int kv_keys = 8;
@@ -228,6 +225,8 @@ struct SoakResult {
   int restarts = 0;
   std::uint64_t ops_submitted = 0;
   std::uint64_t ops_completed = 0;
+  /// Compactions the replicas made by themselves below the leader's safe
+  /// point, each replica counted each time (`consensus.compactions`).
   std::uint64_t compactions = 0;
   obs::Histogram stabilization_span_ms;
   obs::Histogram decide_latency_ms;

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "client/cluster_client.h"
+#include "common/serialization.h"
 #include "net/topology.h"
 #include "shard/sharded_replica.h"
 #include "sim/simulator.h"
@@ -106,6 +107,69 @@ TEST(CrKv, RecoveryAfterCompactionRestoresTheSnapshotPrefix) {
   auto it = recovered.group(0).store().data().find("k0");
   ASSERT_NE(it, recovered.group(0).store().data().end());
   EXPECT_EQ(it->second, "v0");
+}
+
+TEST(CrKv, RecoveryAfterAutomaticCompactionsRestoresTheFullStore) {
+  // The automatic twin of RecoveryAfterCompactionRestoresTheSnapshotPrefix:
+  // nothing here calls compact_to. The replicas compact below the leader's
+  // safe point by themselves, several times, and a replica that crashes
+  // after that must rebuild every key from its snapshot plus its log.
+  constexpr int kWrites = 800;
+  constexpr int kKeys = 50;
+  auto sim_owner = make_cr_kv_cluster(3, 7);
+  Simulator& sim = *sim_owner;
+  auto group = [&](ProcessId p) -> KvCore& {
+    return sim.actor_as<CrKvReplica>(p).group(0);
+  };
+  for (int i = 0; i < kWrites; ++i) {
+    sim.schedule(1 * kSecond + i * 2 * kMillisecond, [&, i]() {
+      sim.actor_as<CrKvReplica>(static_cast<ProcessId>(i % 3))
+          .submit(KvOp::kPut, "k" + std::to_string(i % kKeys),
+                  "v" + std::to_string(i));
+    });
+  }
+  // The snapshot is written before each compaction: whenever a replica's
+  // log starts above 0, its durable snapshot covers everything below.
+  int uncovered = 0;
+  int checked = 0;
+  sim.schedule_every(1 * kSecond, 1 * kMillisecond, [&]() {
+    for (ProcessId p = 0; p < 3; ++p) {
+      if (!sim.alive(p)) continue;
+      const Instance base = group(p).consensus().compacted_upto();
+      if (base == 0) continue;
+      ++checked;
+      const auto blob = sim.storage(p).read(group(p).snapshot_key());
+      if (!blob.has_value() || BufReader(*blob).get<Instance>() < base) {
+        ++uncovered;
+      }
+    }
+    return true;
+  });
+  Instance compacted_before_crash = 0;
+  std::uint64_t compactions_before_crash = 0;
+  sim.schedule(4900 * kMillisecond, [&]() {
+    compacted_before_crash = group(2).consensus().compacted_upto();
+    compactions_before_crash =
+        sim.plane().registry().counter("consensus.compactions").value();
+  });
+  sim.crash_at(2, 5 * kSecond);
+  sim.recover_at(2, 7 * kSecond);
+  sim.start();
+  sim.run_until(20 * kSecond);
+
+  EXPECT_GT(checked, 0);
+  EXPECT_EQ(uncovered, 0);
+  // Several compactions at every replica before the crash.
+  EXPECT_GE(compacted_before_crash, 3 * LogConsensus::kCompactChunk);
+  EXPECT_GE(compactions_before_crash, 3u * 3u);
+  const KvCore& recovered = group(2);
+  EXPECT_GE(recovered.consensus().compacted_upto(), compacted_before_crash);
+  EXPECT_EQ(recovered.store().digest(), group(0).store().digest());
+  EXPECT_EQ(recovered.store().applied(), static_cast<std::uint64_t>(kWrites));
+  EXPECT_EQ(recovered.store().data().size(), static_cast<std::size_t>(kKeys));
+  const auto it = recovered.store().data().find("k0");
+  ASSERT_NE(it, recovered.store().data().end());
+  EXPECT_EQ(it->second, "v" + std::to_string(kWrites - kKeys));
 }
 
 TEST(CrKv, CoordinatedCompactionClampsToTheGivenWatermark) {

@@ -107,6 +107,7 @@ TEST(WireGolden, ConsensusMessages) {
   expect_golden(DecideAckMsg{13}, "0d00000000000000");
   expect_golden(ForwardMsg{Bytes{std::byte{0xDE}, std::byte{0xAD}}},
                 "02000000dead");
+  expect_golden(CompactMsg{448}, "c001000000000000");
 }
 
 TEST(WireGolden, CommandIncludingReadOnlyFlag) {

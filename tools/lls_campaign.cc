@@ -75,12 +75,11 @@ namespace {
       "  --schedule=<path>     apply a saved adversarial link schedule on\n"
       "                        top of its topology (see lls_adversary)\n"
       "  --soak-ms=<int>       soak mode: one long durable crash-recovery\n"
-      "                        run with compaction + restarts + topology\n"
-      "                        churn concurrently (ignores --scenario)\n"
+      "                        run with restarts + topology churn, the\n"
+      "                        replicas compacting by themselves\n"
+      "                        (ignores --scenario)\n"
       "  --soak-era-ms=<int>   nemesis era length (default 30000)\n"
       "  --soak-churn-ms=<int> topology churn period (default 75000)\n"
-      "  --soak-compact-ms=<int> snapshot+compaction period (default "
-      "20000)\n"
       "  --soak-ops-per-sec=<int> workload rate (default 4)\n",
       stderr);
   std::exit(2);
@@ -113,7 +112,6 @@ int run_soak_mode(const SoakConfig& sc, const std::string& json_path) {
     json.key("duration_ms").value(sc.duration / kMillisecond);
     json.key("era_ms").value(sc.era / kMillisecond);
     json.key("churn_ms").value(sc.churn_period / kMillisecond);
-    json.key("compact_ms").value(sc.compact_period / kMillisecond);
     json.key("ops_per_sec").value(sc.ops_per_sec);
     json.end_object();
     json.key("eras").value(result.eras);
@@ -197,9 +195,6 @@ int main(int argc, char** argv) {
              kMillisecond;
   soak.churn_period =
       static_cast<Duration>(flags.u64("soak-churn-ms", 75000)) * kMillisecond;
-  soak.compact_period =
-      static_cast<Duration>(flags.u64("soak-compact-ms", 20000)) *
-      kMillisecond;
   soak.ops_per_sec = static_cast<int>(flags.u64("soak-ops-per-sec", 4));
   soak.kv_keys = config.kv_keys;
   soak.lin_max_nodes = config.lin_max_nodes;
